@@ -903,7 +903,3 @@ def series_exp(u: LaurentSeries, T: int) -> LaurentSeries:
 
 def series_geometric(T: int) -> LaurentSeries:
     return LaurentSeries.geometric(T)
-
-
-def ratfun_derivative(f: RationalFunction) -> RationalFunction:
-    return f.derivative()

@@ -1,9 +1,11 @@
 """Catalog integrity and runner-contract tests for finsum.identities."""
 
+import dataclasses
 import json
 
 import pytest
 
+from finsum import identities
 from finsum.identities import (
     FAMILIES,
     PRINTED_FAILS,
@@ -72,6 +74,36 @@ def test_flagged_statements_carry_exact_counterexamples(identity_id):
     entry = run_identity(identity_id)
     assert entry["passed"] is True
     assert entry["printed_confirmed"] is True
+
+
+@pytest.mark.parametrize(
+    "drift",
+    [{"rhs": "-311/12"}, {"params": {"n": "2", "lambda": "2"}}],
+    ids=["rhs-text", "params"],
+)
+def test_drifted_counterexample_is_caught(monkeypatch, drift):
+    record = get_record("harmonic-split")
+    (cx,) = record.counterexamples
+    drifted = dataclasses.replace(record, counterexamples=(dataclasses.replace(cx, **drift),))
+    monkeypatch.setitem(identities._BY_ID, record.id, drifted)
+    assert get_record(record.id).printed_check() is False
+    assert run_identity(record.id, max_n=1)["passed"] is False
+    assert run_all(ids=[record.id], max_n=1)["ok"] is False
+
+
+def test_flagged_record_with_equal_sides_is_rejected():
+    record = get_record("harmonic-split")
+    (cx,) = record.counterexamples
+    with pytest.raises(ValueError):
+        identities._record(
+            record.id,
+            record.family,
+            record.statement,
+            record.check,
+            status=PRINTED_FAILS,
+            printed_sides=record.printed_sides,
+            counterexamples=(dataclasses.replace(cx, rhs=cx.lhs),),
+        )
 
 
 def test_unknown_identity_and_family_are_rejected():
