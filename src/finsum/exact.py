@@ -7,6 +7,13 @@ Everything downstream is built on four layers:
   * RationalFunction    -- canonical-form quotient of integer-coefficient polynomials
   * LaurentSeries       -- truncated series with finitely many negative powers
 
+A RationalFunction is normally reduced by its constructor through poly_gcd.
+A caller that already knows its pair is canonical (coprime, integer
+coefficients with coprime contents, positive leading denominator) may hand
+it to the private trusted constructor RationalFunction._from_reduced, which
+stores it as given; the closed forms of S(n) in logsum are the only such
+caller, and they check those facts before using it.
+
 The series layer tracks, for every result, the largest order through which its
 coefficients are exact, and refuses to report anything beyond that.  That rule
 is what keeps the substitution checks (poles at t = 0 and all) honest.
@@ -387,6 +394,21 @@ class RationalFunction:
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def _from_reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Trusted constructor: store num/den as given, computing no gcd.
+
+        The caller must guarantee the canonical form that __init__ would
+        produce: num and den coprime, both with integer coefficients stored
+        as Fractions, their two contents coprime, and den with a positive
+        leading coefficient.  A pair that breaks this compares unequal to
+        the same function built by __init__.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     @classmethod
     def variable(cls):

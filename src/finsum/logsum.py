@@ -101,31 +101,60 @@ def _symbolic_parts(n: int):
     """(numerator, scale, power) with S(n) = numerator / (scale * L^power * (L-1)^power).
 
     The numerator is an integer polynomial of degree n; scale = lcm(1..n+1)
-    clears every 1/(j+1).  The three pieces are in lowest terms: the numerator
-    vanishes at neither 0 nor 1, and any common integer content is divided out.
+    clears every 1/(j+1).  It is expanded in integers: the term
+    (-1)^n * (scale/(j+1)) * L^(n-j) * (L-1)^j adds
+    (-1)^n * (scale/(j+1)) * C(j, i) * (-1)^(j-i) to the coefficient of
+    L^(n-j+i), with C(j, i) carried from one i to the next, so the whole
+    numerator costs O(n^2) integer operations.  The three pieces are in
+    lowest terms: the numerator vanishes at neither 0 (value +-scale/(n+1))
+    nor 1 (value +-scale), and any common integer content is divided out.
+    The coefficients are returned as Fractions.
     """
     _check_index(n)
     scale = math.lcm(*range(1, n + 2))
-    shifted = Polynomial((Fraction(-1), Fraction(1)))  # L - 1
-    num = Polynomial()
+    coeffs = [0] * (n + 1)
     for j in range(n + 1):
-        num = num + Polynomial.monomial(Fraction(scale // (j + 1)), n - j) * shifted ** j
-    if n % 2:
-        num = -num
-    g = math.gcd(int(num.content()), scale)
+        # the i = 0 term, with the overall sign (-1)^n folded in
+        term = scale // (j + 1) if (n - j) % 2 == 0 else -(scale // (j + 1))
+        for i in range(j + 1):
+            coeffs[n - j + i] += term
+            term = -term * (j - i) // (i + 1)
+    g = math.gcd(scale, *coeffs)
     if g > 1:
-        num = num.scale(Fraction(1, g))
+        coeffs = [c // g for c in coeffs]
         scale //= g
-    return num, scale, n + 1
+    return Polynomial(tuple(Fraction(c) for c in coeffs)), scale, n + 1
+
+
+def _reduced_closed_form(num: Polynomial, scale: int, power: int) -> RationalFunction:
+    """num / (scale * L^power * (L-1)^power), built without a gcd.
+
+    The denominator's only roots are 0 and 1 and its content is scale, so
+    the form is canonical exactly when num(0) != 0, num(1) != 0, num has
+    integer coefficients whose content is coprime to scale, and scale > 0
+    (the denominator's leading coefficient).  Those facts are checked here,
+    in O(power) integer work, before the trusted constructor takes the pair.
+    """
+    content = num.content()
+    if not num.coefficient(0) or not sum(num.coeffs):
+        raise ArithmeticError("closed form numerator vanishes at L = 0 or L = 1")
+    if content.denominator != 1 or math.gcd(content.numerator, scale) != 1:
+        raise ArithmeticError("closed form numerator content is not coprime to its scale")
+    # coefficient of L^(power+i) in the denominator: scale * C(power, i) * (-1)^(power-i)
+    den = [Fraction(0)] * power
+    term = scale if power % 2 == 0 else -scale
+    for i in range(power + 1):
+        den.append(Fraction(term))
+        term = -term * (power - i) // (i + 1)
+    if den[-1] <= 0:
+        raise ArithmeticError("closed form denominator has a nonpositive leading coefficient")
+    return RationalFunction._from_reduced(num, Polynomial(den))
 
 
 @lru_cache(maxsize=None)
 def logsum_symbolic(n: int) -> RationalFunction:
     """Closed form of S(n, .) as a reduced rational function of the parameter."""
-    num, scale, power = _symbolic_parts(n)
-    shifted = Polynomial((Fraction(-1), Fraction(1)))
-    den = (Polynomial.monomial(Fraction(scale), power)) * shifted ** power
-    return RationalFunction(num, den)
+    return _reduced_closed_form(*_symbolic_parts(n))
 
 
 _METHODS = ("direct", "alg1", "recurrence", "symbolic")

@@ -290,10 +290,10 @@ def test_console_script_points_at_main_entry():
     assert project["scripts"]["finsum"] == "finsum.cli:main_entry"
 
 
-def test_thread_cap_environment_variable():
+def test_verify_under_minimal_environment():
     result = run_process(
         ["verify", "--family", "padic"],
-        env={"PATH": "/usr/local/bin:/usr/bin:/bin", "FINSUM_THREADS": "1"},
+        env={"PATH": "/usr/local/bin:/usr/bin:/bin"},
     )
     assert result.returncode == 0
     assert "records: 4  passed: 4  unexpected: 0" in result.stdout

@@ -123,20 +123,18 @@ def test_recurrence_record_survives_deep_sweep():
     assert entry["swept"] >= 7 * 60
 
 
-def test_subset_run_is_deterministic_modulo_timing(monkeypatch):
+def test_subset_run_is_deterministic_modulo_timing():
     chosen = ["eta-degree-offset", "half-parameter-harmonic", "table-rows"]
-    monkeypatch.setenv("FINSUM_THREADS", "1")
-    serial = run_all(ids=chosen)
-    monkeypatch.setenv("FINSUM_THREADS", "4")
-    threaded = run_all(ids=chosen)
+    first = run_all(ids=chosen)
+    second = run_all(ids=chosen)
 
     def stripped(report):
         payload = json.loads(report_json(report))
         payload.pop("elapsed")
         return payload
 
-    assert stripped(serial) == stripped(threaded)
-    assert [e["id"] for e in serial["records"]] == sorted(chosen)
+    assert stripped(first) == stripped(second)
+    assert [e["id"] for e in first["records"]] == sorted(chosen)
 
 
 def test_family_filter_selects_only_that_family():

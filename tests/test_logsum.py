@@ -1,11 +1,14 @@
 """Exact-value, agreement, and formatting tests for the log-type sum family."""
 
+import importlib
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsum.exact import RationalFunction
+from finsum.exact import Polynomial, RationalFunction
 from finsum.logsum import (
     harmonic_lcm_sequence,
     lcm_harmonic,
@@ -19,6 +22,9 @@ from finsum.logsum import (
     table,
     table_entry,
 )
+
+# the package re-exports the function logsum, which shadows the module name
+logsum_module = importlib.import_module("finsum.logsum")
 
 HALF = Fraction(1, 2)
 
@@ -113,6 +119,7 @@ def test_lcm_harmonic_sequence_frozen():
 
 def test_lcm_harmonic_routes_agree():
     assert harmonic_lcm_sequence(13, "table") == harmonic_lcm_sequence(13, "harmonic")
+    assert harmonic_lcm_sequence(120, "table") == harmonic_lcm_sequence(120, "harmonic")
 
 
 def test_domain_errors():
@@ -135,3 +142,86 @@ def test_domain_errors():
         harmonic_lcm_sequence(0)
     with pytest.raises(ValueError):
         harmonic_lcm_sequence(3, "guess")
+
+
+def _expanded_numerator(n):
+    """Reference numerator: sum_j (scale/(j+1)) * L^(n-j) * (L-1)^j in Fraction
+    polynomial arithmetic, sign-flipped for odd n, content shared with scale
+    divided out."""
+    scale = math.lcm(*range(1, n + 2))
+    shifted = Polynomial((Fraction(-1), Fraction(1)))
+    num = Polynomial()
+    for j in range(n + 1):
+        num = num + Polynomial.monomial(Fraction(scale // (j + 1)), n - j) * shifted ** j
+    if n % 2:
+        num = -num
+    g = math.gcd(int(num.content()), scale)
+    if g > 1:
+        num = num.scale(Fraction(1, g))
+        scale //= g
+    return num, scale
+
+
+def _typed(poly):
+    return [(type(c), c) for c in poly.coeffs]
+
+
+def test_symbolic_numerator_matches_polynomial_expansion():
+    for n in range(31):
+        num, scale, power = logsum_module._symbolic_parts(n)
+        want_num, want_scale = _expanded_numerator(n)
+        assert _typed(num) == _typed(want_num)
+        assert (scale, power) == (want_scale, n + 1)
+
+
+def test_closed_form_equals_gcd_constructor():
+    shifted = Polynomial((Fraction(-1), Fraction(1)))
+    for n in range(41):
+        num, scale, power = logsum_module._symbolic_parts(n)
+        den = Polynomial.monomial(Fraction(scale), power) * shifted ** power
+        want = RationalFunction(num, den)
+        got = logsum_symbolic(n)
+        assert _typed(got.num) == _typed(want.num)
+        assert _typed(got.den) == _typed(want.den)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+def test_closed_form_guard_rejects_unreduced_parts():
+    num, scale, power = logsum_module._symbolic_parts(3)
+    vanishing_at_one = num - Polynomial.constant(num(Fraction(1)))
+    with pytest.raises(ArithmeticError):
+        logsum_module._reduced_closed_form(vanishing_at_one, scale, power)
+    with pytest.raises(ArithmeticError):
+        logsum_module._reduced_closed_form(num.shift(1), scale, power)
+    with pytest.raises(ArithmeticError):
+        logsum_module._reduced_closed_form(num.scale(Fraction(2)), scale, power)
+    with pytest.raises(ArithmeticError):
+        logsum_module._reduced_closed_form(num.scale(Fraction(1, 2)), scale, power)
+    with pytest.raises(ArithmeticError):
+        logsum_module._reduced_closed_form(num, -scale, power)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=80),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40).filter(lambda q: q not in (0, 1)),
+)
+def test_routes_agree_at_random_parameters(n, q):
+    want = logsum_direct(n, q)
+    assert logsum(n, q, "symbolic") == want
+    assert logsum_recurrence(n, q) == want
+
+
+def _fresh_seconds(call, *args):
+    logsum_module._symbolic_parts.cache_clear()
+    logsum_symbolic.cache_clear()
+    start = time.perf_counter()
+    call(*args)
+    return time.perf_counter() - start
+
+
+def test_closed_form_time_budgets():
+    elapsed = _fresh_seconds(logsum_symbolic, 100)
+    assert elapsed < 1.0, f"logsum_symbolic(100) exceeded its 1s budget: {elapsed:.2f}s"
+    elapsed = _fresh_seconds(table, 150)
+    assert elapsed < 5.0, f"table(150) exceeded its 5s budget: {elapsed:.2f}s"
