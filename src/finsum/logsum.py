@@ -33,15 +33,13 @@ from .exact import Polynomial, RationalFunction
 
 from .special import harmonic_alternating, bernoulli, stirling_first
 
-_BAD_PARAMETER = "parameter must avoid 0 and 1"
-
 
 def _checked(q):
     """Normalise a numeric parameter, rejecting the two poles."""
     if isinstance(q, (int, Fraction)):
         q = Fraction(q)
         if q == 0 or q == 1:
-            raise ValueError(_BAD_PARAMETER)
+            raise ValueError("parameter must avoid 0 and 1")
     return q
 
 
@@ -185,14 +183,9 @@ def logsum(n: int, q=None, method: str = "recurrence"):
 
 @lru_cache(maxsize=None)
 def logsum_value(n: int, q) -> Fraction:
-    """Cached exact value; the workhorse for the identity sweeps."""
-    q = Fraction(q)
-    if q == 0 or q == 1:
-        raise ValueError(_BAD_PARAMETER)
-    if n == 0:
-        return 1 / (q * (q - 1))
-    sign = Fraction(-1, n + 1) if n % 2 else Fraction(1, n + 1)
-    return (sign / q ** (n + 1) - logsum_value(n - 1, q)) / (q - 1)
+    """Cached exact value by the recurrence route, a loop, so no n hits the
+    recursion limit; the workhorse for the identity sweeps."""
+    return logsum_recurrence(n, Fraction(q))
 
 
 def logsum_at_half(n: int) -> Fraction:
@@ -240,13 +233,21 @@ def lcm_harmonic(k: int) -> int:
 def harmonic_lcm_sequence(count: int, method: str = "harmonic") -> list:
     """First `count` terms, via the harmonic sum or the symbolic numerators.
 
-    The "table" route reads |leading coefficient| of the degree-(k-1)
-    numerator, which equals lcm(1..k) * H_k.
+    The "harmonic" route carries L_k = lcm(1..k) and N_k = L_k * H_k, with
+    N_k = N_(k-1) * (L_k / L_(k-1)) + L_k / k, apart from the termwise
+    :func:`lcm_harmonic`.  The "table" route reads |leading coefficient| of
+    the degree-(k-1) numerator, which equals lcm(1..k) * H_k.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if method == "harmonic":
-        return [lcm_harmonic(k) for k in range(1, count + 1)]
+        out, scale, num = [], 1, 0
+        for k in range(1, count + 1):
+            grown = math.lcm(scale, k)
+            num = num * (grown // scale) + grown // k
+            scale = grown
+            out.append(num)
+        return out
     if method == "table":
         out = []
         for k in range(count):

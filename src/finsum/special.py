@@ -51,25 +51,21 @@ def _binom(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bernoulli_upto(n: int):
-    """(B_0, ..., B_n) from the Pascal-column recurrence
-    sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1)."""
-    vals = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * vals[j]
-        vals.append(-acc / (m + 1))
-    return tuple(vals)
-
-
-@lru_cache(maxsize=None)
 def bernoulli(n: int, method: str = "recurrence") -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Bernoulli number B_n (B_1 = -1/2 convention).
+
+    The "recurrence" route solves the Pascal-column recurrence
+    sum_{j<=n} C(n+1, j) B_j = 0 (n >= 1) for B_n, taking each B_j from
+    this function's own cache; j ascends, so a cold call recurses only
+    about two levels deep.  The "series" route is the independent check.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if method == "recurrence":
-        return _bernoulli_upto(n)[n]
+        if n == 0:
+            return Fraction(1)
+        acc = sum((math.comb(n + 1, j) * bernoulli(j) for j in range(n)), Fraction(0))
+        return -acc / (n + 1)
     if method == "series":
         den = LaurentSeries.exponential(n + 1) - LaurentSeries.one()
         ratio = LaurentSeries.monomial(1, 1) / den

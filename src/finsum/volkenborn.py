@@ -264,10 +264,11 @@ def mahler_route_value(n: int, q) -> Fraction:
         raise ValueError("parameter must differ from 0 and 1")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return 1 / (w * (w - 1))
-    step = daehee_limit(n) / (w ** (n + 1) * factorial(n))
-    return (step - mahler_route_value(n - 1, q)) / (w - 1)
+    val = 1 / (w * (w - 1))
+    for m in range(1, n + 1):
+        step = daehee_limit(m) / (w ** (m + 1) * factorial(m))
+        val = (step - val) / (w - 1)
+    return val
 
 
 # ---------------------------------------------------------------------------

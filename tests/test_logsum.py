@@ -104,6 +104,11 @@ def test_cached_value_route():
             assert logsum_value(n, q) == logsum_direct(n, q)
 
 
+def test_cached_value_route_at_large_index():
+    q = Fraction(-7, 4)
+    assert logsum_value(1500, q) == logsum_direct(1500, q)
+
+
 def test_dispatcher():
     assert logsum(3, Fraction(2), "direct") == Fraction(-131, 192)
     assert logsum(3, Fraction(2), "alg1") == Fraction(-131, 192)
@@ -120,6 +125,7 @@ def test_lcm_harmonic_sequence_frozen():
 def test_lcm_harmonic_routes_agree():
     assert harmonic_lcm_sequence(13, "table") == harmonic_lcm_sequence(13, "harmonic")
     assert harmonic_lcm_sequence(120, "table") == harmonic_lcm_sequence(120, "harmonic")
+    assert harmonic_lcm_sequence(300) == [lcm_harmonic(k) for k in range(1, 301)]
 
 
 def test_domain_errors():
@@ -130,8 +136,9 @@ def test_domain_errors():
             logsum_recurrence(2, bad)
         with pytest.raises(ValueError):
             logsum_bernoulli_stirling(2, bad)
-    with pytest.raises(ValueError):
-        logsum_direct(-1, Fraction(2))
+    for bad_index in (logsum_direct, logsum_value):
+        with pytest.raises(ValueError):
+            bad_index(-1, Fraction(2))
     with pytest.raises(ValueError):
         logsum(2, Fraction(2), "newton")
     with pytest.raises(ValueError):
@@ -210,6 +217,7 @@ def test_routes_agree_at_random_parameters(n, q):
     want = logsum_direct(n, q)
     assert logsum(n, q, "symbolic") == want
     assert logsum_recurrence(n, q) == want
+    assert logsum_bernoulli_stirling(n, q) == want
 
 
 def _fresh_seconds(call, *args):

@@ -1,12 +1,14 @@
 """Checks for the classical number families and their independent routes."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finsum import special
 from finsum.exact import LaurentSeries, Polynomial, RationalFunction
 from finsum.special import (
     apostol_bernoulli,
@@ -43,6 +45,17 @@ def test_bernoulli_frozen_values():
 def test_bernoulli_routes_agree():
     for n in range(21):
         assert bernoulli(n, "recurrence") == bernoulli(n, "series")
+
+
+def test_bernoulli_table_time_budget():
+    for value in vars(special).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    start = time.perf_counter()
+    table = [bernoulli(n) for n in range(201)]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"B_0..B_200 exceeded its 1s budget: {elapsed:.2f}s"
+    assert table[200] == bernoulli(200, "series")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Riemann-sum certificates for p-adic integrals and their applications."""
 
+import inspect
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -161,6 +163,17 @@ def test_mahler_route_matches_reference_values():
     for q in PARAMS:
         for n in range(21):
             assert mahler_route_value(n, q) == logsum_value(n, q)
+
+
+def test_mahler_route_runs_without_recursion():
+    mahler_route_value.cache_clear()
+    daehee_limit.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert mahler_route_value(300, 2) == logsum_value(300, 2)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_mahler_route_validation():
