@@ -7,12 +7,11 @@ Everything downstream is built on four layers:
   * RationalFunction    -- canonical-form quotient of integer-coefficient polynomials
   * LaurentSeries       -- truncated series with finitely many negative powers
 
-A RationalFunction is normally reduced by its constructor through poly_gcd.
-A caller that already knows its pair is canonical (coprime, integer
-coefficients with coprime contents, positive leading denominator) may hand
-it to the private trusted constructor RationalFunction._from_reduced, which
-stores it as given; the closed forms of S(n) in logsum are the only such
-caller, and they check those facts before using it.
+A RationalFunction has one constructor, which reduces in integer arithmetic.
+The rational functions of this package have poles only at 0, 1 and -1 (the
+closed forms of S(n) at 0 and 1, the weighted-Bernoulli and Euler identities
+add -1), so the constructor cancels the factors L, L-1 and L+1 by synthetic
+division and calls poly_gcd only when the denominator keeps another factor.
 
 The series layer tracks, for every result, the largest order through which its
 coefficients are exact, and refuses to report anything beyond that.  That rule
@@ -22,8 +21,10 @@ is what keeps the substitution checks (poles at t = 0 and all) honest.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 INFINITY = math.inf  # +infinity sentinel (valuations, untruncated series)
 
@@ -280,22 +281,21 @@ class Polynomial:
 
     # -- content / primitive part (Fraction coefficients) -----------------
     def content(self) -> Fraction:
-        """Positive rational g with self = g * (primitive integer polynomial)."""
+        """Positive rational g with self = g * (primitive integer polynomial);
+        the coefficients must be ints or Fractions."""
         if not self.coeffs:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            c = Fraction(c)
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = math.lcm(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(math.gcd(*(c.numerator for c in self.coeffs)),
+                        math.lcm(*(c.denominator for c in self.coeffs)))
 
     def primitive(self) -> "Polynomial":
+        """self / content(), an integer polynomial stored with Fraction coefficients."""
         g = self.content()
         if not g:
             return self
-        return Polynomial(tuple(Fraction(c) / g for c in self.coeffs))
+        n, d = g.numerator, g.denominator
+        return Polynomial(tuple(Fraction(c.numerator * (d // c.denominator) // n)
+                                for c in self.coeffs))
 
     # -- formatting --------------------------------------------------------
     def to_text(self, letter: str = "L", descending: bool = False) -> str:
@@ -350,6 +350,16 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a
 
 
+def _deflate(a, r):
+    """Quotient of the int coefficient list a by L - r, r in (0, 1, -1), or None
+    when a(r) != 0.  Synthetic division from the top: q[i-1] = a[i] + r * q[i],
+    and the last step gives a(r)."""
+    if r == 0:
+        return a[1:] if a[0] == 0 else None
+    q = list(accumulate(reversed(a), operator.add if r == 1 else (lambda acc, c: c - acc)))
+    return q[-2::-1] if q[-1] == 0 else None
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
@@ -377,38 +387,32 @@ class RationalFunction:
             object.__setattr__(self, "num", Polynomial())
             object.__setattr__(self, "den", Polynomial.constant(Fraction(1)))
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        cn, cd = num.content(), den.content()
-        scale = cn / cd  # num = scale * num.primitive() / den.primitive()
-        num = num.primitive()
-        den = den.primitive()
-        num = Polynomial(tuple(c * scale.numerator for c in num.coeffs))
-        den = Polynomial(tuple(c * scale.denominator for c in den.coeffs))
-        if Fraction(den.leading) < 0:
-            num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        a = [c.numerator for c in num.primitive().coeffs]
+        b = [c.numerator for c in den.primitive().coeffs]
+        # num/den = scale * a/b, with scale = num.content() / den.content()
+        scale = Fraction(num.leading * b[-1]) / (den.leading * a[-1])
+        # The denominators of this package have roots only at 0, 1 and -1.  rest
+        # is b with every factor L - r taken out; a and b lose each one they share.
+        rest = b
+        for r in (0, 1, -1):
+            k = 0
+            while (q := _deflate(rest, r)) is not None:
+                rest, k = q, k + 1
+            while k and (q := _deflate(a, r)) is not None:
+                a, b, k = q, _deflate(b, r), k - 1
+        if len(rest) > 1:  # a common factor left has no root at 0, 1 or -1
+            g = poly_gcd(Polynomial(a), Polynomial(rest))
+            if g.degree > 0:
+                a = [c.numerator for c in (Polynomial(a) // g).coeffs]
+                b = [c.numerator for c in (Polynomial(b) // g).coeffs]
+        sn, sd = scale.numerator, scale.denominator
+        if b[-1] < 0:
+            sn, sd = -sn, -sd
+        object.__setattr__(self, "num", Polynomial(tuple(Fraction(c * sn) for c in a)))
+        object.__setattr__(self, "den", Polynomial(tuple(Fraction(c * sd) for c in b)))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def _from_reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Trusted constructor: store num/den as given, computing no gcd.
-
-        The caller must guarantee the canonical form that __init__ would
-        produce: num and den coprime, both with integer coefficients stored
-        as Fractions, their two contents coprime, and den with a positive
-        leading coefficient.  A pair that breaks this compares unequal to
-        the same function built by __init__.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return self
 
     @classmethod
     def variable(cls):
@@ -619,11 +623,6 @@ class LaurentSeries:
 
     def coefficients(self, lo: int, hi: int):
         return [self.coefficient(k) for k in range(lo, hi + 1)]
-
-    def truncate(self, T: int) -> "LaurentSeries":
-        if self.trunc is not None and T > self.trunc:
-            raise TruncationError(f"cannot extend truncation {self.trunc} to {T}")
-        return LaurentSeries(self.offset, self.coeffs, T)
 
     def agrees_with(self, other: "LaurentSeries", through=None) -> bool:
         """Coefficient-wise equality through min of the reliable windows."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .exact import Polynomial, RationalFunction
 
@@ -62,15 +63,23 @@ def logsum_direct(n: int, q):
     return acc if n % 2 == 0 else -acc
 
 
-def logsum_recurrence(n: int, q):
-    """Two-term recurrence: (q-1)*S(n, q) + S(n-1, q) = (-1)^n/((n+1)*q^(n+1))."""
-    _check_index(n)
+def logsum_recurrence_values(q):
+    """S(0, q), S(1, q), ... without end, one step of the two-term
+    recurrence (q-1)*S(n, q) + S(n-1, q) = (-1)^n/((n+1)*q^(n+1)) each."""
     q = _checked(q)
     val = 1 / (q * (q - 1))
-    for m in range(1, n + 1):
+    m = 0
+    while True:
+        yield val
+        m += 1
         sign = 1 if m % 2 == 0 else -1
         val = (sign / ((m + 1) * q ** (m + 1)) - val) / (q - 1)
-    return val
+
+
+def logsum_recurrence(n: int, q):
+    """S(n, q) by the two-term recurrence, run up from S(0, q)."""
+    _check_index(n)
+    return next(islice(logsum_recurrence_values(q), n, None))
 
 
 def logsum_bernoulli_stirling(n: int, q):
@@ -124,35 +133,17 @@ def _symbolic_parts(n: int):
     return Polynomial(tuple(Fraction(c) for c in coeffs)), scale, n + 1
 
 
-def _reduced_closed_form(num: Polynomial, scale: int, power: int) -> RationalFunction:
-    """num / (scale * L^power * (L-1)^power), built without a gcd.
-
-    The denominator's only roots are 0 and 1 and its content is scale, so
-    the form is canonical exactly when num(0) != 0, num(1) != 0, num has
-    integer coefficients whose content is coprime to scale, and scale > 0
-    (the denominator's leading coefficient).  Those facts are checked here,
-    in O(power) integer work, before the trusted constructor takes the pair.
-    """
-    content = num.content()
-    if not num.coefficient(0) or not sum(num.coeffs):
-        raise ArithmeticError("closed form numerator vanishes at L = 0 or L = 1")
-    if content.denominator != 1 or math.gcd(content.numerator, scale) != 1:
-        raise ArithmeticError("closed form numerator content is not coprime to its scale")
-    # coefficient of L^(power+i) in the denominator: scale * C(power, i) * (-1)^(power-i)
-    den = [Fraction(0)] * power
-    term = scale if power % 2 == 0 else -scale
-    for i in range(power + 1):
-        den.append(Fraction(term))
-        term = -term * (power - i) // (i + 1)
-    if den[-1] <= 0:
-        raise ArithmeticError("closed form denominator has a nonpositive leading coefficient")
-    return RationalFunction._from_reduced(num, Polynomial(den))
-
-
 @lru_cache(maxsize=None)
 def logsum_symbolic(n: int) -> RationalFunction:
     """Closed form of S(n, .) as a reduced rational function of the parameter."""
-    return _reduced_closed_form(*_symbolic_parts(n))
+    num, scale, power = _symbolic_parts(n)
+    # scale * L^power * (L-1)^power: L^(power+i) has scale * C(power, i) * (-1)^(power-i)
+    den = [0] * power
+    term = scale if power % 2 == 0 else -scale
+    for i in range(power + 1):
+        den.append(term)
+        term = -term * (power - i) // (i + 1)
+    return RationalFunction(num, Polynomial(den))
 
 
 _METHODS = ("direct", "alg1", "recurrence", "symbolic")

@@ -27,7 +27,7 @@ from math import comb, cos, factorial
 
 from .exact import LaurentSeries, RationalFunction
 from .genfun import fib_term
-from .logsum import logsum_symbolic, logsum_value
+from .logsum import logsum_recurrence_values, logsum_symbolic
 from .special import (
     apostol_bernoulli_value,
     bernoulli_polynomial,
@@ -193,10 +193,10 @@ def weighted_number_sum(M: int, q=None):
         return total
     w = Fraction(q)
     total = Fraction(0)
-    for n in range(M):
+    for n, value in zip(range(M), logsum_recurrence_values(w)):
         s2 = stirling_second(M, n + 1)
         if s2:
-            total += factorial(n + 1) * s2 * w ** (n + 1) * logsum_value(n, w)
+            total += factorial(n + 1) * s2 * w ** (n + 1) * value
     return total
 
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finsum.exact import (
@@ -160,6 +160,107 @@ def test_ratfun_evaluation():
     assert f(F(2)) == F(-5, 8)
     with pytest.raises(ZeroDivisionError):
         f(F(1))
+
+
+def _content_reference(p):
+    num_gcd = 0
+    den_lcm = 1
+    for c in p.coeffs:
+        c = F(c)
+        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+        den_lcm = math.lcm(den_lcm, c.denominator)
+    return F(num_gcd, den_lcm)
+
+
+def _primitive_reference(p):
+    g = _content_reference(p)
+    return Polynomial(tuple(F(c) / g for c in p.coeffs))
+
+
+def gcd_reference(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num/den reduced through poly_gcd for every pair, then scaled to the
+    canonical form: the reference for RationalFunction's constructor, which
+    cancels the poles 0, 1 and -1 in integers and reaches poly_gcd only for
+    other factors."""
+    if not num:
+        num, den = Polynomial(), Polynomial.constant(F(1))
+    else:
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num = num // g
+            den = den // g
+        scale = _content_reference(num) / _content_reference(den)
+        num = Polynomial(tuple(c * scale.numerator for c in _primitive_reference(num).coeffs))
+        den = Polynomial(tuple(c * scale.denominator for c in _primitive_reference(den).coeffs))
+        if F(den.leading) < 0:
+            num, den = -num, -den
+    ref = object.__new__(RationalFunction)
+    object.__setattr__(ref, "num", num)
+    object.__setattr__(ref, "den", den)
+    return ref
+
+
+def typed_coeffs(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+POLE_FACTORS = (poly(0, 1), poly(-1, 1), poly(1, 1))   # L, L - 1, L + 1
+
+pole_powers = st.tuples(*[st.integers(min_value=0, max_value=6)] * 3)
+nonzero_coeff_lists = coeff_lists.filter(any)
+scalars = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(bool)
+
+
+def with_poles(coeffs, powers, scalar=F(1), as_ints=False):
+    """scalar * poly(coeffs) * L^i * (L-1)^j * (L+1)^k; with as_ints, the
+    integral coefficients are stored as ints."""
+    p = poly(*coeffs).scale(scalar)
+    for factor, k in zip(POLE_FACTORS, powers):
+        p = p * factor ** k
+    if as_ints:
+        p = Polynomial(tuple(c.numerator if c.denominator == 1 else c for c in p.coeffs))
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, pole_powers, scalars, nonzero_coeff_lists, pole_powers, scalars,
+       st.lists(st.integers(min_value=-5, max_value=5), max_size=3).filter(any), st.booleans())
+def test_ratfun_constructor_matches_gcd_reference(a, pa, sa, b, pb, sb, common, as_ints):
+    shared = poly(*common)
+    num = with_poles(a, pa, sa, as_ints) * shared
+    den = with_poles(b, pb, sb, as_ints) * shared
+    got, want = RationalFunction(num, den), gcd_reference(num, den)
+    assert typed_coeffs(got.num) == typed_coeffs(want.num)
+    assert typed_coeffs(got.den) == typed_coeffs(want.den)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=50), max_size=8))
+def test_content_and_primitive_match_reference(cs):
+    p = Polynomial(tuple(cs))
+    assert p.content() == _content_reference(p)
+    if p:
+        assert typed_coeffs(p.primitive()) == typed_coeffs(_primitive_reference(p))
+
+
+rational_functions = st.builds(
+    lambda a, pa, b, pb: RationalFunction(with_poles(a, pa), with_poles(b, pb)),
+    coeff_lists, pole_powers, nonzero_coeff_lists, pole_powers,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_functions, rational_functions,
+       st.fractions(min_value=-10, max_value=10, max_denominator=20).filter(lambda q: q not in (0, 1, -1)))
+def test_ratfun_evaluation_is_a_homomorphism(f, g, q):
+    assume(f.den(q) and g.den(q))
+    fq, gq = f(q), g(q)
+    assert (f + g)(q) == fq + gq
+    assert (f - g)(q) == fq - gq
+    assert (f * g)(q) == fq * gq
+    if gq:
+        assert (f / g)(q) == fq / gq
 
 
 # ---------------------------------------------------------------------------

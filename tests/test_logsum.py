@@ -23,6 +23,8 @@ from finsum.logsum import (
     table_entry,
 )
 
+from test_exact import gcd_reference, typed_coeffs
+
 # the package re-exports the function logsum, which shadows the module name
 logsum_module = importlib.import_module("finsum.logsum")
 
@@ -169,15 +171,11 @@ def _expanded_numerator(n):
     return num, scale
 
 
-def _typed(poly):
-    return [(type(c), c) for c in poly.coeffs]
-
-
 def test_symbolic_numerator_matches_polynomial_expansion():
     for n in range(31):
         num, scale, power = logsum_module._symbolic_parts(n)
         want_num, want_scale = _expanded_numerator(n)
-        assert _typed(num) == _typed(want_num)
+        assert typed_coeffs(num) == typed_coeffs(want_num)
         assert (scale, power) == (want_scale, n + 1)
 
 
@@ -186,26 +184,11 @@ def test_closed_form_equals_gcd_constructor():
     for n in range(41):
         num, scale, power = logsum_module._symbolic_parts(n)
         den = Polynomial.monomial(Fraction(scale), power) * shifted ** power
-        want = RationalFunction(num, den)
+        want = gcd_reference(num, den)
         got = logsum_symbolic(n)
-        assert _typed(got.num) == _typed(want.num)
-        assert _typed(got.den) == _typed(want.den)
+        assert typed_coeffs(got.num) == typed_coeffs(want.num)
+        assert typed_coeffs(got.den) == typed_coeffs(want.den)
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-
-
-def test_closed_form_guard_rejects_unreduced_parts():
-    num, scale, power = logsum_module._symbolic_parts(3)
-    vanishing_at_one = num - Polynomial.constant(num(Fraction(1)))
-    with pytest.raises(ArithmeticError):
-        logsum_module._reduced_closed_form(vanishing_at_one, scale, power)
-    with pytest.raises(ArithmeticError):
-        logsum_module._reduced_closed_form(num.shift(1), scale, power)
-    with pytest.raises(ArithmeticError):
-        logsum_module._reduced_closed_form(num.scale(Fraction(2)), scale, power)
-    with pytest.raises(ArithmeticError):
-        logsum_module._reduced_closed_form(num.scale(Fraction(1, 2)), scale, power)
-    with pytest.raises(ArithmeticError):
-        logsum_module._reduced_closed_form(num, -scale, power)
 
 
 @settings(max_examples=40, deadline=None)

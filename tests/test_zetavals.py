@@ -1,17 +1,19 @@
 """Negative-argument zeta values and exponential-parameter expansions."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from finsum.exact import LaurentSeries, RationalFunction
-from finsum.logsum import logsum_symbolic
+from finsum.logsum import logsum_symbolic, logsum_value
 from finsum.special import (
     apostol_bernoulli,
     apostol_bernoulli_value,
     bernoulli_polynomial,
     euler_number,
     euler_polynomial,
+    stirling_second,
 )
 from finsum.zetavals import (
     cos_closed_form,
@@ -176,6 +178,17 @@ def test_weighted_number_sum_matches_weighted_bernoulli_numbers():
 def test_weighted_number_sum_symbolic():
     for M in range(1, 7):
         assert weighted_number_sum(M) == apostol_bernoulli(M)
+
+
+def test_weighted_number_sum_equals_per_index_sum():
+    for q in (Fraction(2), HALF, Fraction(-1), Fraction(5, 3), Fraction(-7, 10)):
+        for M in range(31):
+            per_index = sum(
+                (factorial(n + 1) * stirling_second(M, n + 1) * q ** (n + 1) * logsum_value(n, q)
+                 for n in range(M)),
+                Fraction(0),
+            )
+            assert weighted_number_sum(M, q) == per_index
 
 
 def test_weighted_number_sum_degenerate_index():
