@@ -15,7 +15,10 @@ division and calls poly_gcd only when the denominator keeps another factor.
 
 The series layer tracks, for every result, the largest order through which its
 coefficients are exact, and refuses to report anything beyond that.  That rule
-is what keeps the substitution checks (poles at t = 0 and all) honest.
+is what keeps the substitution checks (poles at t = 0 and all) honest.  It
+divides by long division (LaurentSeries.divide), one loop that writes each
+quotient coefficient from the earlier ones; the inverse is 1 divided by the
+series.
 """
 
 from __future__ import annotations
@@ -230,8 +233,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __call__(self, x):
@@ -721,79 +725,61 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def inverse(self, through=None) -> "LaurentSeries":
-        """Multiplicative inverse.
-
-        For a series exact through T with min_order mu the inverse is exact
-        through T - 2*mu.  An untruncated (polynomial) input needs an explicit
-        `through` order, since its inverse is an infinite series.
-        """
-        if not self.coeffs:
-            raise ZeroDivisionError("inverse of zero series")
-        mu = self.offset
-        if self.trunc is None:
-            if len(self.coeffs) == 1:
-                return LaurentSeries(-mu, (_ring_inverse(self.coeffs[0]),),
-                                     None if through is None else through)
-            if through is None:
-                raise TruncationError("inverse of an exact polynomial needs a target order")
-            T_out = through
-        else:
-            T_out = self.trunc - 2 * mu
-            if through is not None:
-                T_out = min(T_out, through)
-        L = T_out + mu  # the unit part 1/(1+u) is needed through order L
-        if L < 0:
-            return LaurentSeries.zero(T_out)
-        lead_inv = _ring_inverse(self.coeffs[0])
-        # u: self = lead * z^mu * (1 + u), u an ordinary series, u(0) = 0
-        u = [Fraction(0)] * (L + 1)
-        for i in range(1, min(len(self.coeffs), L + 1)):
-            if self.coeffs[i]:
-                u[i] = self.coeffs[i] * lead_inv
-        # 1/(1+u): c_0 = 1, c_k = -sum_{i=1..k} u_i c_{k-i}
-        inv = [Fraction(0)] * (L + 1)
-        inv[0] = Fraction(1)
-        for k in range(1, L + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if u[i] and inv[k - i]:
-                    acc = acc + u[i] * inv[k - i]
-            inv[k] = -acc
-        out = [c * lead_inv for c in inv]
-        return LaurentSeries(-mu, out, T_out)
+        """Multiplicative inverse, 1 / self (see divide for the orders)."""
+        return LaurentSeries.one().divide(self, through)
 
     def __truediv__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self._divide(o)
+        return self.divide(o)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return o._divide(self)
+        return o.divide(self)
 
-    def _divide(self, den: "LaurentSeries", through=None) -> "LaurentSeries":
+    def divide(self, den, through=None) -> "LaurentSeries":
+        """self / den by long division.
+
+        With self = z^nu * (a_0 + a_1 z + ...), exact through Ta, and
+        den = z^mu * (b_0 + b_1 z + ...), exact through Tb, the quotient is
+        z^(nu-mu) * (q_0 + q_1 z + ...) with
+        q_k = (a_k - sum_{1<=i<len(b)} b_i q_(k-i)) / b_0, exact through
+        min(Ta - mu, Tb - 2*mu + nu), capped at `through`.  An exact divisor
+        with more than one term needs a finite order; an exact monomial
+        divisor of an exact series gives an exact quotient.
+        """
+        den = self._lift(den)
         if not den.coeffs:
             raise ZeroDivisionError("division by zero series")
         mu = den.offset
         Ta = _as_order(self.trunc)
-        Tb = _as_order(den.trunc)
-        T = min(Ta - mu, Tb - 2 * mu + self.offset)
+        T = min(Ta - mu, _as_order(den.trunc) - 2 * mu + self.offset)
         if through is not None:
             T = min(T, through)
-        if T == INFINITY:
-            # only reachable when den is an exact monomial and self is exact
-            return self * den.inverse()
-        inv = den.inverse(through=int(T) - self.offset)
-        out = self * inv
-        if out.trunc is None or out.trunc > T:
-            out = LaurentSeries(out.offset, out.coeffs, int(T))
-        return out
-
-    def divide(self, den: "LaurentSeries", through=None) -> "LaurentSeries":
-        return self._divide(self._lift(den), through)
+        if T == INFINITY and len(den.coeffs) > 1:
+            raise TruncationError("division by an exact series needs a target order")
+        lo = self.offset - mu
+        if not self.coeffs or T < lo:
+            # no coefficient to write: zero, truncated as self * (1/den) would be
+            T = min(Ta, T, T - self.offset)
+            return LaurentSeries.zero(None if T == INFINITY else int(T))
+        a = self.coeffs
+        n = len(a) if T == INFINITY else int(T) - lo + 1
+        b0_inv = _ring_inverse(den.coeffs[0])
+        b = [(i, c) for i, c in enumerate(den.coeffs[1:n], 1) if c]
+        q = []
+        for k in range(n):
+            acc = a[k] if k < len(a) else 0
+            for i, c in b:
+                if i > k:
+                    break
+                if q[k - i]:
+                    acc = acc - c * q[k - i]
+            q.append(acc * b0_inv)
+        return LaurentSeries(lo, q, None if T == INFINITY else int(T))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -803,8 +789,9 @@ class LaurentSeries:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
@@ -869,58 +856,3 @@ def _ring_inverse(c):
         return RationalFunction(1) / c
     raise TypeError(f"no inverse for coefficient {c!r}")
 
-
-# ---------------------------------------------------------------------------
-# series builders used all over the place
-# ---------------------------------------------------------------------------
-
-def series_log_one_plus(u: LaurentSeries, T: int) -> LaurentSeries:
-    """ln(1 + u) for a series u with min_order >= 1, exact through T."""
-    if u.coeffs and u.offset < 1:
-        raise ValueError("series_log_one_plus needs min_order >= 1")
-    T_in = _as_order(u.trunc)
-    T_eff = int(min(T, T_in)) if min(T, T_in) != INFINITY else T
-    acc = LaurentSeries.zero(T_eff)
-    if not u.coeffs:
-        return acc
-    power = LaurentSeries.one()
-    sign = 1
-    j = 0
-    while (j + 1) * u.offset <= T_eff:
-        j += 1
-        power = power * u
-        if power.trunc is None or power.trunc > T_eff:
-            power = LaurentSeries(power.offset, power.coeffs, T_eff)
-        acc = acc + LaurentSeries(power.offset,
-                                  tuple(c * Fraction(sign, j) for c in power.coeffs),
-                                  power.trunc)
-        sign = -sign
-    return acc
-
-
-def series_exp(u: LaurentSeries, T: int) -> LaurentSeries:
-    """exp(u) for a series u with min_order >= 1, exact through T."""
-    if u.coeffs and u.offset < 1:
-        raise ValueError("series_exp needs min_order >= 1")
-    T_in = _as_order(u.trunc)
-    T_eff = int(min(T, T_in)) if min(T, T_in) != INFINITY else T
-    acc = LaurentSeries.one() + LaurentSeries.zero(T_eff)
-    if not u.coeffs:
-        return acc
-    power = LaurentSeries.one()
-    fact = Fraction(1)
-    j = 0
-    while (j + 1) * u.offset <= T_eff:
-        j += 1
-        fact = fact / j
-        power = power * u
-        if power.trunc is None or power.trunc > T_eff:
-            power = LaurentSeries(power.offset, power.coeffs, T_eff)
-        acc = acc + LaurentSeries(power.offset,
-                                  tuple(c * fact for c in power.coeffs),
-                                  power.trunc)
-    return acc
-
-
-def series_geometric(T: int) -> LaurentSeries:
-    return LaurentSeries.geometric(T)

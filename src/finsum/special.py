@@ -9,6 +9,7 @@ for the weighted (Apostol-style) family.
 """
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -77,17 +78,26 @@ def bernoulli(n: int, method: str = "recurrence") -> Fraction:
 # Stirling numbers (first kind signed, second kind)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+_TABLE_LOCK = threading.Lock()  # the length check and the append are one step
+
+
+def _extend(rows, n: int, step):
+    """rows[n], after appending rows[m] = step(m, rows[m - 1]) for every
+    missing m up to n.  The loop fills the table's own cache in ascending m,
+    so a cold call does not recurse and a sweep builds each row once."""
+    with _TABLE_LOCK:
+        while len(rows) <= n:
+            rows.append(step(len(rows), rows[-1]))
+    return rows[n]
+
+
+_STIRLING_FIRST_ROWS = [(1,)]
+
+
 def _stirling_first_row(n: int):
-    if n == 0:
-        return (1,)
-    prev = _stirling_first_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else 0
-        right = prev[k] if k < n else 0
-        row.append(left - (n - 1) * right)
-    return tuple(row)
+    # s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k)
+    return _extend(_STIRLING_FIRST_ROWS, n, lambda m, prev: tuple(
+        left - (m - 1) * right for left, right in zip((0,) + prev, prev + (0,))))
 
 
 def _stirling_first_formula(n: int, k: int) -> Fraction:
@@ -123,17 +133,13 @@ def stirling_first(n: int, k: int, method: str = "recurrence") -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-@lru_cache(maxsize=None)
+_STIRLING_SECOND_ROWS = [(1,)]
+
+
 def _stirling_second_row(n: int):
-    if n == 0:
-        return (1,)
-    prev = _stirling_second_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else 0
-        right = prev[k] if k < n else 0
-        row.append(left + k * right)
-    return tuple(row)
+    # S(m, k) = S(m-1, k-1) + k S(m-1, k)
+    return _extend(_STIRLING_SECOND_ROWS, n, lambda m, prev: tuple(
+        left + k * right for k, (left, right) in enumerate(zip((0,) + prev, prev + (0,)))))
 
 
 @lru_cache(maxsize=None)
@@ -259,15 +265,15 @@ def leibnitz(m: int, l: int, method: str = "closed") -> Fraction:
 # Bernoulli numbers of the second kind: u/log(1+u) = sum b_n u^n / n!
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+_FALLING_FACTORIALS = [Polynomial.constant(Fraction(1))]
+
+
 def falling_factorial(n: int) -> Polynomial:
     """x (x-1) ... (x-n+1) as an exact Polynomial (1 for n = 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Polynomial.constant(Fraction(1))
     x = Polynomial.variable()
-    return falling_factorial(n - 1) * (x - (n - 1))
+    return _extend(_FALLING_FACTORIALS, n, lambda m, prev: prev * (x - (m - 1)))
 
 
 def integral_unit_interval(p: Polynomial) -> Fraction:

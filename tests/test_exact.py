@@ -1,6 +1,7 @@
 """Kernel tests: rationals, polynomials, rational functions, Laurent series."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,14 +14,15 @@ from finsum.exact import (
     Polynomial,
     RationalFunction,
     TruncationError,
+    _as_order,
+    _ring_inverse,
     format_rational,
     padic_valuation,
     parse_rational,
     poly_gcd,
-    series_exp,
-    series_geometric,
-    series_log_one_plus,
 )
+from finsum.genfun import log_gf
+from finsum.logsum import logsum_value
 
 F = Fraction
 
@@ -267,26 +269,69 @@ def test_ratfun_evaluation_is_a_homomorphism(f, g, q):
 # Laurent series
 # ---------------------------------------------------------------------------
 
+def _inverse_reference(s, through=None):
+    """1/s by the recurrence for 1/(1 + u), s = lead * z^mu * (1 + u)."""
+    if not s.coeffs:
+        raise ZeroDivisionError("inverse of zero series")
+    mu = s.offset
+    if s.trunc is None:
+        if len(s.coeffs) == 1:
+            return LaurentSeries(-mu, (_ring_inverse(s.coeffs[0]),),
+                                 None if through is None else through)
+        if through is None:
+            raise TruncationError("inverse of an exact polynomial needs a target order")
+        T_out = through
+    else:
+        T_out = s.trunc - 2 * mu
+        if through is not None:
+            T_out = min(T_out, through)
+    L = T_out + mu
+    if L < 0:
+        return LaurentSeries.zero(T_out)
+    lead_inv = _ring_inverse(s.coeffs[0])
+    u = [F(0)] * (L + 1)
+    for i in range(1, min(len(s.coeffs), L + 1)):
+        if s.coeffs[i]:
+            u[i] = s.coeffs[i] * lead_inv
+    inv = [F(0)] * (L + 1)
+    inv[0] = F(1)
+    for k in range(1, L + 1):
+        acc = F(0)
+        for i in range(1, k + 1):
+            if u[i] and inv[k - i]:
+                acc = acc + u[i] * inv[k - i]
+        inv[k] = -acc
+    return LaurentSeries(-mu, [c * lead_inv for c in inv], T_out)
+
+
+def divide_reference(num, den, through=None):
+    """num / den as num times the inverse of den, truncated to the quotient's
+    exact order: the reference for LaurentSeries.divide, which divides in one
+    long-division loop."""
+    if not den.coeffs:
+        raise ZeroDivisionError("division by zero series")
+    mu = den.offset
+    T = min(_as_order(num.trunc) - mu, _as_order(den.trunc) - 2 * mu + num.offset)
+    if through is not None:
+        T = min(T, through)
+    if T == INFINITY:
+        return num * _inverse_reference(den)
+    out = num * _inverse_reference(den, through=int(T) - num.offset)
+    if out.trunc is None or out.trunc > T:
+        out = LaurentSeries(out.offset, out.coeffs, int(T))
+    return out
+
+
 def test_mercator_series():
     s = LaurentSeries.mercator(3)
     assert s.coefficients(0, 3) == [0, F(1), F(-1, 2), F(1, 3)]
 
 
-def test_log_one_plus_variants():
-    z = LaurentSeries.monomial(F(1), 1)
-    assert series_log_one_plus(z, 3).coefficients(1, 3) == [F(1), F(-1, 2), F(1, 3)]
-    assert not series_log_one_plus(LaurentSeries.zero(), 5)
-    two_z = LaurentSeries.monomial(F(2), 1)
-    assert series_log_one_plus(two_z, 2).coefficients(1, 2) == [F(2), F(-2)]
-    with pytest.raises(ValueError):
-        series_log_one_plus(LaurentSeries.one(), 3)
-
-
 def test_geometric_series():
-    g = series_geometric(2)
+    g = LaurentSeries.geometric(2)
     assert g.coefficients(0, 2) == [1, 1, 1]
     one_minus_z = LaurentSeries(0, (F(1), F(-1)))
-    prod = series_geometric(5) * one_minus_z
+    prod = LaurentSeries.geometric(5) * one_minus_z
     assert prod.coefficients(0, 5) == [1, 0, 0, 0, 0, 0]
 
 
@@ -315,12 +360,6 @@ def test_series_compose_examples():
     assert s.compose(LaurentSeries.monomial(F(1), 1)).agrees_with(s)
     log_comp = LaurentSeries.mercator(4).compose(LaurentSeries.exponential(4) - 1)
     assert log_comp.coefficients(0, 4) == [0, 1, 0, 0, 0]
-
-
-def test_exp_log_inversion():
-    for T in (4, 9, 16):
-        u = LaurentSeries.mercator(T)
-        assert series_exp(u, T).coefficients(0, T) == [1, 1] + [0] * (T - 1)
 
 
 @settings(max_examples=40)
@@ -367,10 +406,85 @@ def test_negative_powers():
 def test_series_over_rational_function_coefficients():
     lam = RationalFunction.variable()
     w = (lam - 1) / lam
-    u = LaurentSeries.monomial(-w, 1)
-    log_series = series_log_one_plus(u, 3)
+    log_series = LaurentSeries.mercator(3, -w)
     assert log_series.coefficient(1) == -w
     assert log_series.coefficient(2) == -(w ** 2) / 2
     den = LaurentSeries(1, (F(-1), F(1)))
     g = log_series / den
     assert g.coefficient(0) == w
+
+
+_RATFUN_POOL = tuple(
+    RationalFunction(poly(*a), poly(*b))
+    for a, b in (((0,), (1,)), ((3,), (1,)), ((0, 1), (1,)), ((-1, 1), (0, 1)),
+                 ((1,), (1, 1)), ((2, 0, -1), (-1, 1)), ((1, 1), (0, 0, 2)))
+)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series with one coefficient type, all Fraction or all
+    RationalFunction, as every caller builds them."""
+    if draw(st.booleans()):
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    else:
+        coeff = st.sampled_from(_RATFUN_POOL)
+
+    def one_series():
+        return LaurentSeries(draw(st.integers(min_value=-3, max_value=3)),
+                             draw(st.lists(coeff, max_size=5)),
+                             draw(st.none() | st.integers(min_value=-4, max_value=10)))
+    return one_series(), one_series()
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (ZeroDivisionError, TruncationError) as exc:
+        return type(exc)
+
+
+def _same_series(got, want):
+    if not isinstance(want, LaurentSeries):
+        return got is want
+    return ((got.offset, got.trunc, got.coeffs) == (want.offset, want.trunc, want.coeffs)
+            and [type(c) for c in got.coeffs if c] == [type(c) for c in want.coeffs if c])
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs(), st.none() | st.integers(min_value=-4, max_value=10))
+def test_divide_matches_inverse_times_product(pair, through):
+    num, den = pair
+    want = _outcome(lambda: divide_reference(num, den, through))
+    assert _same_series(_outcome(lambda: num.divide(den, through)), want)
+    assert _same_series(_outcome(lambda: num / den),
+                        _outcome(lambda: divide_reference(num, den)))
+    assert _same_series(_outcome(lambda: den.inverse(through)),
+                        _outcome(lambda: _inverse_reference(den, through)))
+    assert _same_series(_outcome(lambda: 1 / den),
+                        _outcome(lambda: divide_reference(LaurentSeries(0, (1,)), den)))
+
+
+def test_log_gf_at_order_1500_in_budget():
+    start = time.perf_counter()
+    series = log_gf(1500, F(2))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"log_gf(1500, 2) exceeded its 5s budget: {elapsed:.2f}s"
+    for n in (0, 700, 1500):
+        assert series.coefficient(n) == (1 - F(2)) ** (n + 2) * logsum_value(n, F(2))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("value", [poly(1, 2, -1), LaurentSeries(0, (F(1), F(2), F(-1)), 6)],
+                         ids=["Polynomial", "LaurentSeries"])
+def test_power_squares_only_while_bits_remain(monkeypatch, value, k):
+    calls = []
+    mul = type(value).__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(type(value), "__mul__", counting_mul)
+    value ** k
+    assert len(calls) == bin(k).count("1") + k.bit_length() - 1

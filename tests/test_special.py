@@ -1,6 +1,8 @@
 """Checks for the classical number families and their independent routes."""
 
+import inspect
 import math
+import sys
 import time
 from fractions import Fraction as F
 
@@ -113,6 +115,22 @@ def test_stirling_pair_inverts_power_basis():
         for k in range(n + 1):
             acc = acc + falling_factorial(k) * stirling_second(n, k)
         assert acc == x ** n
+
+
+def test_stirling_tables_run_without_recursion():
+    for value in vars(special).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    for table in (special._STIRLING_FIRST_ROWS, special._STIRLING_SECOND_ROWS,
+                  special._FALLING_FACTORIALS):
+        del table[1:]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert falling_factorial(300).coeffs == tuple(stirling_first(300, k) for k in range(301))
+        assert stirling_second(300, 3) == (3 ** 300 - 3 * 2 ** 300 + 3) // 6
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
