@@ -4,7 +4,8 @@ Subcommands: ``y`` (single values), ``table`` (closed forms), ``series``
 (series coefficients), ``verify`` (the identity catalog), ``volkenborn``
 (p-adic Riemann-sum certificates), and ``oeis`` (the lcm-harmonic integer
 sequence).  Exit codes: 0 on success / all checks passing, 1 when the
-identity report contains an unexpected failure, 2 on usage errors.
+identity report contains an unexpected failure, 2 on usage errors, 3 when
+a ``verify`` record raised instead of completing its check.
 
 Rational arguments use the exact ``p/q`` grammar — no decimals.  Negative
 values are easiest to pass in equals form, e.g. ``--lambda=-7/4``.
@@ -81,7 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--lambda", dest="lam", default=None, metavar="Q")
     add_common(p_series)
 
-    p_verify = sub.add_parser("verify", help="run the identity catalog")
+    p_verify = sub.add_parser(
+        "verify",
+        help="run the identity catalog",
+        description="Run the identity catalog.  Exit codes: 0 when every record "
+        "passes, 1 when a record fails unexpectedly, 2 on usage errors, 3 when a "
+        "record raised (its error is written to stderr).",
+    )
     p_verify.add_argument("--id", default=None, help="run a single record")
     p_verify.add_argument("--family", choices=FAMILIES, default=None)
     p_verify.add_argument("--max-n", type=int, default=None, dest="max_n")
@@ -217,6 +224,8 @@ def _cmd_verify(args) -> int:
         _emit(_csv_text(("id", "status", "swept", "result"), rows), args.output)
     else:
         _emit(report_table(report), args.output)
+    if any(e.get("error") for e in report["records"]):
+        return 3
     return 0 if report["ok"] else 1
 
 

@@ -19,6 +19,13 @@ is what keeps the substitution checks (poles at t = 0 and all) honest.  It
 divides by long division (LaurentSeries.divide), one loop that writes each
 quotient coefficient from the earlier ones; the inverse is 1 divided by the
 series.
+
+Polynomial and series products share one convolution (_convolve).  When
+every coefficient of both operands is an int or a Fraction, it scales each
+operand to int numerators over one common denominator, convolves the ints and
+reduces each product coefficient once, instead of reducing every partial
+product.  Coefficients from other rings (RationalFunction, Polynomial) take
+the generic term-by-term loop.
 """
 
 from __future__ import annotations
@@ -96,6 +103,27 @@ def format_rational(q) -> str:
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
+
+def _convolve(a, b, n):
+    """The first n coefficients of the product of the coefficient sequences a
+    and b, as Fractions, or None unless every coefficient of both is an int or
+    a Fraction.  Each operand is scaled to int numerators over one common
+    denominator, the ints are convolved, and each sum is reduced once."""
+    a, b = a[:n], b[:n]
+    if not all(isinstance(c, (int, Fraction)) for c in a + b):
+        return None
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    ia = [c.numerator * (da // c.denominator) for c in a]
+    ib = [c.numerator * (db // c.denominator) for c in b]
+    out = [0] * n
+    for i, x in enumerate(ia):
+        if x:
+            for j, y in enumerate(ib[: n - i], i):
+                out[j] += x * y
+    d = da * db
+    return [Fraction(c, d) for c in out]
+
 
 def _trim(coeffs):
     cs = list(coeffs)
@@ -215,12 +243,14 @@ class Polynomial:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
+        out = _convolve(a, b, len(a) + len(b) - 1)
+        if out is None:
+            out = [Fraction(0)] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if not ca:
+                    continue
+                for j, cb in enumerate(b):
+                    out[i + j] = out[i + j] + ca * cb
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -709,17 +739,19 @@ class LaurentSeries:
         lo = self.offset + o.offset
         hi_stored = (self.offset + len(self.coeffs) - 1) + (o.offset + len(o.coeffs) - 1)
         hi = hi_stored if T == INFINITY else min(hi_stored, int(T))
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            base = self.offset + i + o.offset - lo
-            for j, cb in enumerate(o.coeffs):
-                k = base + j
-                if k > hi - lo:
-                    break
-                if cb:
-                    out[k] = out[k] + ca * cb
+        out = _convolve(self.coeffs, o.coeffs, max(0, hi - lo + 1))
+        if out is None:
+            out = [Fraction(0)] * (hi - lo + 1)
+            for i, ca in enumerate(self.coeffs):
+                if not ca:
+                    continue
+                base = self.offset + i + o.offset - lo
+                for j, cb in enumerate(o.coeffs):
+                    k = base + j
+                    if k > hi - lo:
+                        break
+                    if cb:
+                        out[k] = out[k] + ca * cb
         return LaurentSeries(lo, out, None if T == INFINITY else int(T))
 
     __rmul__ = __mul__

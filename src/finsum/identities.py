@@ -40,6 +40,7 @@ runs apart from ``elapsed``.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -2407,11 +2408,21 @@ def run_identity(identity_id: str, max_n=None) -> dict:
     original form are re-computed from their params as well (see
     :meth:`IdentityRecord.printed_check`); ``passed`` requires both the
     corrected sweep and that confirmation to succeed.
+
+    A record whose check raises does not stop the run: its entry has
+    ``passed`` False, ``swept`` 0 and the exception text under ``error``
+    (None otherwise), and that text is written to stderr.
     """
     record = get_record(identity_id)
     start = time.perf_counter()
-    swept, failures = record.check(max_n)
-    printed_confirmed = record.printed_check()
+    error = None
+    try:
+        swept, failures = record.check(max_n)
+        printed_confirmed = record.printed_check()
+    except Exception as exc:  # one broken record must not end the catalog run
+        error = f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(f"finsum: record {record.id} raised {error}\n")
+        swept, failures, printed_confirmed = 0, [], False
     passed = not failures and printed_confirmed
     return {
         "id": record.id,
@@ -2424,6 +2435,7 @@ def run_identity(identity_id: str, max_n=None) -> dict:
         "counterexamples": [cx.as_dict() for cx in record.counterexamples]
         + [cx.as_dict() for cx in failures],
         "elapsed": round(time.perf_counter() - start, 6),
+        "error": error,
     }
 
 

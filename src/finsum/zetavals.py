@@ -212,6 +212,16 @@ def exp_parameter_series(n: int, sign: int, scale: int, T: int) -> LaurentSeries
     ``-1`` when ``t = 0``); ``sign=+1`` produces a pole of order ``n+1``
     because the parameter then approaches the singular point ``1``.  The
     result is exact through order ``T``.
+
+    The defining sum ``sum_j (-1)^n/(j+1) lambda^-(j+1) (lambda-1)^-(n+1-j)``
+    is built without powers of ``lambda``: ``lambda^-(j+1)`` is the
+    exponential ``sign^(j+1) exp((j+1) scale t)``, and the powers of
+    ``1/(lambda-1)`` come from one inverse by repeated products.  At
+    ``sign=+1``, ``lambda-1`` has a simple zero at ``t = 0``, so an expansion
+    exact through ``W`` gives ``1/(lambda-1)^k`` exact through ``W-k-1``.  The
+    pole of order ``n+1`` is therefore exact through ``T`` from the working
+    order ``W = T+n+2`` on, and that least order keeps every term exact
+    through ``T``; at ``sign=-1`` nothing is lost and the sum is cut at ``T``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -219,13 +229,17 @@ def exp_parameter_series(n: int, sign: int, scale: int, T: int) -> LaurentSeries
         raise ValueError("scale must be 1 or 2")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    work = T + 2 * (n + 2) + 4
-    base = LaurentSeries.exponential(work, Fraction(-scale))
-    lam = base if sign == 1 else -base
+    W = T + n + 2
+    lam = LaurentSeries.exponential(W, Fraction(-scale))
+    if sign == -1:
+        lam = -lam
+    inverse = (lam - 1).inverse(through=W)
+    power = LaurentSeries.one()
     total = LaurentSeries.zero(T)
-    for j in range(n + 1):
-        den = (lam ** (j + 1)) * ((lam - 1) ** (n + 1 - j))
-        total = total + den.inverse(through=T) * Fraction((-1) ** n, j + 1)
+    for j in range(n, -1, -1):  # power = (lambda-1)^-(n+1-j)
+        power = power * inverse
+        growth = LaurentSeries.exponential(W, Fraction((j + 1) * scale))
+        total = total + growth * power * Fraction(sign ** (j + 1) * (-1) ** n, j + 1)
     return total
 
 

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finsum.exact import (
@@ -463,6 +463,79 @@ def test_divide_matches_inverse_times_product(pair, through):
                         _outcome(lambda: _inverse_reference(den, through)))
     assert _same_series(_outcome(lambda: 1 / den),
                         _outcome(lambda: divide_reference(LaurentSeries(0, (1,)), den)))
+
+
+def mul_reference(a, b):
+    """a * b by the generic Cauchy-product loops, one Fraction operation per
+    term: the reference for Polynomial.__mul__ and LaurentSeries.__mul__,
+    which convolve int and Fraction coefficients in ints over one common
+    denominator."""
+    if isinstance(a, Polynomial):
+        if not a.coeffs or not b.coeffs:
+            return Polynomial()
+        out = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, ca in enumerate(a.coeffs):
+            if not ca:
+                continue
+            for j, cb in enumerate(b.coeffs):
+                out[i + j] = out[i + j] + ca * cb
+        return Polynomial(out)
+    if not a.coeffs or not b.coeffs:
+        T = min(_as_order(a.trunc), _as_order(b.trunc))
+        return LaurentSeries.zero(None if T == INFINITY else int(T))
+    T = min(_as_order(a.trunc) + b.offset, _as_order(b.trunc) + a.offset)
+    lo = a.offset + b.offset
+    hi_stored = (a.offset + len(a.coeffs) - 1) + (b.offset + len(b.coeffs) - 1)
+    hi = hi_stored if T == INFINITY else min(hi_stored, int(T))
+    out = [F(0)] * (hi - lo + 1)
+    for i, ca in enumerate(a.coeffs):
+        if not ca:
+            continue
+        base = a.offset + i + b.offset - lo
+        for j, cb in enumerate(b.coeffs):
+            k = base + j
+            if k > hi - lo:
+                break
+            if cb:
+                out[k] = out[k] + ca * cb
+    return LaurentSeries(lo, out, None if T == INFINITY else int(T))
+
+
+rationals = st.integers(min_value=-9, max_value=9) | st.fractions(
+    min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def product_operands(draw):
+    """Two polynomials and two series with mixed int/Fraction coefficients;
+    with ratfun, the second of each pair has RationalFunction coefficients."""
+    ratfun = draw(st.booleans())
+
+    def coeffs(pool):
+        return draw(st.lists(pool, max_size=6))
+
+    def series(pool):
+        return LaurentSeries(draw(st.integers(min_value=-3, max_value=3)), coeffs(pool),
+                             draw(st.none() | st.integers(min_value=-4, max_value=15)))
+    other = st.sampled_from(_RATFUN_POOL) if ratfun else rationals
+    return (Polynomial(coeffs(rationals)), Polynomial(coeffs(other)),
+            series(rationals), series(other))
+
+
+def _typed_series(s):
+    return s.offset, s.trunc, [(type(c), c) for c in s.coeffs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+@example((Polynomial((1, F(1, 2))), Polynomial((F(2, 3), 0, -3)),
+          LaurentSeries(-2, (1, F(2, 3), 3), 0), LaurentSeries(1, (F(-1, 2), 1, 4), 2)))
+def test_products_match_generic_loops(operands):
+    pa, pb, sa, sb = operands
+    for a, b in ((pa, pb), (pb, pa)):
+        assert typed_coeffs(a * b) == typed_coeffs(mul_reference(a, b))
+    for a, b in ((sa, sb), (sb, sa)):
+        assert _typed_series(a * b) == _typed_series(mul_reference(a, b))
 
 
 def test_log_gf_at_order_1500_in_budget():

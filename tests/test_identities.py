@@ -6,6 +6,7 @@ import json
 import pytest
 
 from finsum import identities
+from finsum.cli import main
 from finsum.identities import (
     FAMILIES,
     PRINTED_FAILS,
@@ -89,6 +90,33 @@ def test_drifted_counterexample_is_caught(monkeypatch, drift):
     assert get_record(record.id).printed_check() is False
     assert run_identity(record.id, max_n=1)["passed"] is False
     assert run_all(ids=[record.id], max_n=1)["ok"] is False
+
+
+def test_record_that_raises_is_isolated(monkeypatch, capsys):
+    record = get_record("harmonic-split")
+
+    def broken_check(max_n=None):
+        raise ZeroDivisionError("pole at 1")
+
+    monkeypatch.setitem(identities._BY_ID, record.id,
+                        dataclasses.replace(record, check=broken_check))
+    entry = run_identity(record.id, max_n=1)
+    assert (entry["passed"], entry["swept"]) == (False, 0)
+    assert entry["error"] == "ZeroDivisionError: pole at 1"
+    assert "harmonic-split raised ZeroDivisionError: pole at 1" in capsys.readouterr().err
+
+    report = run_all(ids=[record.id, "table-rows"], max_n=1)
+    assert report["ok"] is False and report["unexpected"] == [record.id]
+    assert [e["passed"] for e in report["records"]] == [False, True]
+    payload = json.loads(report_json(report))
+    assert set(payload["records"][0]) == {"id", "anchor", "status", "swept", "passed",
+                                          "counterexamples"}
+
+    assert main(["verify", "--id", record.id, "--max-n", "1", "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["unexpected"] == [record.id]
+    assert "pole at 1" in err
+    assert main(["verify", "--id", "table-rows", "--max-n", "1"]) == 0
 
 
 def test_flagged_record_with_equal_sides_is_rejected():

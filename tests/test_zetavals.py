@@ -253,6 +253,50 @@ def test_exp_parameter_series_agrees_with_rational_substitution():
                 )
 
 
+def exp_parameter_series_reference(n, sign, scale, T):
+    """The defining sum with each denominator lambda^(j+1) (lambda-1)^(n+1-j)
+    raised to its powers and inverted: the reference for
+    exp_parameter_series, which inverts lambda - 1 once."""
+    work = T + 2 * (n + 2) + 4
+    base = LaurentSeries.exponential(work, Fraction(-scale))
+    lam = base if sign == 1 else -base
+    total = LaurentSeries.zero(T)
+    for j in range(n + 1):
+        den = (lam ** (j + 1)) * ((lam - 1) ** (n + 1 - j))
+        total = total + den.inverse(through=T) * Fraction((-1) ** n, j + 1)
+    return total
+
+
+@pytest.mark.parametrize("scale", (1, 2))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("n", range(7))
+def test_exp_parameter_series_matches_reference(n, sign, scale):
+    for T in range(11):
+        got = exp_parameter_series(n, sign, scale, T)
+        want = exp_parameter_series_reference(n, sign, scale, T)
+        assert (got.offset, got.coeffs, got.trunc) == (want.offset, want.coeffs, T)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_exp_parameter_series_inverts_once(monkeypatch, n):
+    counts = {"divide": 0, "mul": 0}
+    divide, mul = LaurentSeries.divide, LaurentSeries.__mul__
+
+    def counting_divide(self, *args, **kwargs):
+        counts["divide"] += 1
+        return divide(self, *args, **kwargs)
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "divide", counting_divide)
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+    exp_parameter_series.__wrapped__(n, 1, 1, 6)
+    assert counts["divide"] == 1
+    assert counts["mul"] <= 3 * (n + 1)
+
+
 def test_polynomial_at_series_matches_manual_expansion():
     from finsum.exact import Polynomial
 
