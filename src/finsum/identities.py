@@ -303,10 +303,6 @@ def _symbolic_bound(bound, cap=SYMBOLIC_BOUND) -> int:
     return max(0, value)
 
 
-def _bernoulli_stirling_sum(v: int) -> Fraction:
-    return sum((bernoulli(k) * stirling_first(v, k) for k in range(v + 1)), Fraction(0))
-
-
 def _constant_series(c) -> LaurentSeries:
     return LaurentSeries.monomial(c, 0)
 
@@ -364,7 +360,7 @@ def _check_step_recurrence_daehee(bound):
     sweep = _Sweep()
     top = _numeric_bound(bound)
     for m in range(top + 1):
-        spine = _bernoulli_stirling_sum(m)
+        spine = daehee(m, "bernoulli_stirling")
         sweep.eq({"m": m, "route": "factorial"}, spine, Fraction((-1) ** m * factorial(m), m + 1))
         sweep.eq({"m": m, "route": "daehee"}, spine, daehee(m))
     for q in _SMALL_LAMBDAS:
@@ -375,7 +371,7 @@ def _check_step_recurrence_daehee(bound):
             sweep.eq(
                 {"n": n, "lambda": q, "route": "bernoulli-stirling"},
                 lhs,
-                base * _bernoulli_stirling_sum(n + 1),
+                base * daehee(n + 1, "bernoulli_stirling"),
             )
     return sweep.result()
 
@@ -491,7 +487,7 @@ def _check_half_parameter_daehee_split(bound):
         sweep.eq(
             {"n": n, "route": "bernoulli-stirling"},
             value,
-            scale * (factorial(n) * alt - _bernoulli_stirling_sum(n)),
+            scale * (factorial(n) * alt - daehee(n, "bernoulli_stirling")),
         )
         sweep.eq(
             {"n": n, "route": "tail"},
@@ -511,7 +507,7 @@ def _check_bernoulli_stirling_double_sum(bound):
                 total += (
                     sign
                     * (q - 1) ** (v - n - 1)
-                    * _bernoulli_stirling_sum(v)
+                    * daehee(v, "bernoulli_stirling")
                     / (q ** (v + 1) * factorial(v))
                 )
             sweep.eq({"n": n, "lambda": q}, total, logsum_direct(n, q))
@@ -522,7 +518,7 @@ def _check_half_bernoulli_stirling(bound):
     sweep = _Sweep()
     for m in range(_numeric_bound(bound) + 1):
         rhs = -Fraction(2 ** (m + 2)) * sum(
-            (_bernoulli_stirling_sum(v) / factorial(v) for v in range(m + 1)), Fraction(0)
+            (daehee(v, "bernoulli_stirling") / factorial(v) for v in range(m + 1)), Fraction(0)
         )
         sweep.eq({"m": m}, logsum_value(m, _HALF), rhs)
     return sweep.result()
@@ -535,7 +531,9 @@ def _check_two_parameter_bernoulli_stirling(bound):
         total = Fraction(0)
         for v in range(m + 1):
             sign = -1 if (m - v) % 2 else 1
-            total += sign * _bernoulli_stirling_sum(v) / (Fraction(2 ** (v + 1)) * factorial(v))
+            total += (
+                sign * daehee(v, "bernoulli_stirling") / (Fraction(2 ** (v + 1)) * factorial(v))
+            )
         sweep.eq({"m": m}, logsum_value(m, two), total)
     return sweep.result()
 
@@ -546,7 +544,7 @@ def _check_harmonic_daehee(bound):
         alt = harmonic_alternating(n)
         via_daehee = -sum((daehee(j) / factorial(j) for j in range(n)), Fraction(0))
         via_bs = -sum(
-            (_bernoulli_stirling_sum(j) / factorial(j) for j in range(n)), Fraction(0)
+            (daehee(j, "bernoulli_stirling") / factorial(j) for j in range(n)), Fraction(0)
         )
         sweep.eq({"n": n, "route": "daehee"}, alt, via_daehee)
         sweep.eq({"n": n, "route": "bernoulli-stirling"}, alt, via_bs)
@@ -558,7 +556,7 @@ def _check_daehee_closed_form(bound):
     for n in range(_numeric_bound(bound) + 1):
         closed = Fraction((-1) ** n * factorial(n), n + 1)
         sweep.eq({"n": n, "route": "closed"}, daehee(n), closed)
-        sweep.eq({"n": n, "route": "bernoulli-stirling"}, _bernoulli_stirling_sum(n), closed)
+        sweep.eq({"n": n, "route": "bernoulli-stirling"}, daehee(n, "bernoulli_stirling"), closed)
         sweep.eq({"n": n, "route": "volkenborn"}, daehee_limit(n), closed)
     return sweep.result()
 

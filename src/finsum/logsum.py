@@ -32,7 +32,7 @@ from itertools import islice
 
 from .exact import Polynomial, RationalFunction
 
-from .special import harmonic_alternating, bernoulli, stirling_first
+from .special import daehee, harmonic_alternating
 
 
 def _checked(q):
@@ -86,7 +86,9 @@ def logsum_bernoulli_stirling(n: int, q):
     """Double sum over Bernoulli numbers and signed Stirling numbers.
 
     The outer index runs over 0..n, the inner over 0..outer; each term is
-    (-1)^(v-n) * (q-1)^(v-n-1) * B_k * s(v,k) / (q^(v+1) * v!).
+    (-1)^(v-n) * (q-1)^(v-n-1) * B_k * s(v,k) / (q^(v+1) * v!).  The inner
+    sum over k is the Daehee number D_v, taken once per v from the cached
+    daehee(v, "bernoulli_stirling"), so each v costs one multiplication.
     """
     _check_index(n)
     q = _checked(q)
@@ -95,11 +97,7 @@ def logsum_bernoulli_stirling(n: int, q):
         weight = (q - 1) ** (v - n - 1) / (q ** (v + 1) * math.factorial(v))
         if (n - v) % 2:
             weight = -weight
-        for k in range(v + 1):
-            b = bernoulli(k)
-            if not b:
-                continue
-            total = total + weight * (b * stirling_first(v, k))
+        total = total + weight * daehee(v, "bernoulli_stirling")
     return total
 
 

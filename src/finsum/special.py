@@ -173,7 +173,7 @@ def daehee(n: int, method: str = "closed") -> Fraction:
     if method == "closed":
         return Fraction((-1) ** n * math.factorial(n), n + 1)
     if method == "bernoulli_stirling":
-        return sum((bernoulli(j) * stirling_first(n, j) for j in range(n + 1)),
+        return sum((bernoulli(j) * s for j, s in enumerate(_stirling_first_row(n))),
                    Fraction(0))
     if method == "series":
         ratio = LaurentSeries.mercator(n + 1) / LaurentSeries.monomial(1, 1)
@@ -265,15 +265,13 @@ def leibnitz(m: int, l: int, method: str = "closed") -> Fraction:
 # Bernoulli numbers of the second kind: u/log(1+u) = sum b_n u^n / n!
 # ---------------------------------------------------------------------------
 
-_FALLING_FACTORIALS = [Polynomial.constant(Fraction(1))]
-
-
 def falling_factorial(n: int) -> Polynomial:
-    """x (x-1) ... (x-n+1) as an exact Polynomial (1 for n = 0)."""
+    """x (x-1) ... (x-n+1) as an exact Polynomial (1 for n = 0); its
+    coefficients are the signed Stirling numbers s(n, k), read as
+    Fractions from the integer Stirling table."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = Polynomial.variable()
-    return _extend(_FALLING_FACTORIALS, n, lambda m, prev: prev * (x - (m - 1)))
+    return Polynomial(tuple(Fraction(c) for c in _stirling_first_row(n)))
 
 
 def integral_unit_interval(p: Polynomial) -> Fraction:

@@ -284,45 +284,28 @@ def eta_coefficient_sum(n: int, m: int) -> Fraction:
     return total / factorial(m)
 
 
-@lru_cache(maxsize=None)
-def _euler_at_zero(k: int) -> Fraction:
-    return euler_polynomial(k)(Fraction(0))
-
-
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` nonnegative parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def eta_multinomial_sum(n: int, m: int) -> Fraction:
     """Multinomial expansion of ``sum_j E^{(d)}_m(n+2) / ((j+1) 2^d)``.
 
     Each higher-order Euler polynomial is unfolded into single Euler
-    polynomial values at zero over weak compositions, giving a route
-    that never constructs a higher-order polynomial.
+    polynomial values at zero: with ``e_k = E_k(0)``, the sum over weak
+    compositions of ``l`` into ``d`` parts is the ``l``-th term of the
+    ``d``-fold binomial convolution of ``e``, built one convolution per
+    ``d``.  The route never constructs a higher-order polynomial.
     """
+    euler = [euler_polynomial(k)(Fraction(0)) for k in range(m + 1)]
+    conv = [Fraction(1)] + [Fraction(0)] * m
     total = Fraction(0)
-    for j in range(n + 1):
-        d = n + 1 - j
-        inner = Fraction(0)
-        for l in range(m + 1):
-            comp_total = Fraction(0)
-            for parts in _compositions(l, d):
-                weight = Fraction(factorial(l))
-                for li in parts:
-                    weight = weight / factorial(li) * _euler_at_zero(li)
-                comp_total += weight
-            inner += comb(m, l) * Fraction(n + 2) ** (m - l) * comp_total
-        total += inner / Fraction((j + 1) * 2 ** d)
+    for d in range(1, n + 2):
+        conv = [
+            sum((comb(l, i) * euler[i] * conv[l - i] for i in range(l + 1)), Fraction(0))
+            for l in range(m + 1)
+        ]
+        inner = sum(
+            (comb(m, l) * Fraction(n + 2) ** (m - l) * conv[l] for l in range(m + 1)),
+            Fraction(0),
+        )
+        total += inner / Fraction((n + 2 - d) * 2 ** d)
     return total
 
 

@@ -1,6 +1,7 @@
 """Catalog integrity and runner-contract tests for finsum.identities."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -203,9 +204,18 @@ def test_plain_table_lists_every_record_once():
     assert "pass" in text and "FAIL" not in text
 
 
+# SHA-256 of `finsum verify --format json` without its "elapsed" lines; a
+# refactor meant to keep every output identical must keep this digest
+CATALOG_REPORT_SHA256 = "ee320405d78ab3a112afd049f7d3fa5cd9331f8166e18a24add996d80f466b8e"
+
+
 def test_full_catalog_passes():
     report = run_all()
     assert report["ok"] is True
     assert report["total"] == 69
     assert report["passed"] == 69
     assert report["unexpected"] == []
+    kept = "".join(
+        line + "\n" for line in report_json(report).splitlines() if '"elapsed"' not in line
+    )
+    assert hashlib.sha256(kept.encode()).hexdigest() == CATALOG_REPORT_SHA256

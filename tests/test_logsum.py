@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finsum import special
 from finsum.exact import Polynomial, RationalFunction
 from finsum.logsum import (
     harmonic_lcm_sequence,
@@ -201,6 +202,26 @@ def test_routes_agree_at_random_parameters(n, q):
     assert logsum(n, q, "symbolic") == want
     assert logsum_recurrence(n, q) == want
     assert logsum_bernoulli_stirling(n, q) == want
+
+
+def test_alg1_reads_the_cached_daehee_numbers(monkeypatch):
+    n, q = 30, Fraction(7, 3)
+    for v in range(n + 1):
+        special.daehee(v, "bernoulli_stirling")
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("bernoulli", "stirling_first"):
+        wrapper = counted(name, getattr(special, name))
+        monkeypatch.setattr(special, name, wrapper)
+        monkeypatch.setattr(logsum_module, name, wrapper, raising=False)
+    assert logsum_bernoulli_stirling(n, q) == logsum_direct(n, q)
+    assert calls == []
 
 
 def _fresh_seconds(call, *args):

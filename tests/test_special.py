@@ -76,9 +76,14 @@ def test_stirling_first_frozen_values():
 
 
 def test_stirling_first_expands_falling_factorial():
-    for d in range(9):
-        expanded = Polynomial([stirling_first(d, j) for j in range(d + 1)])
-        assert falling_factorial(d) == expanded
+    x = Polynomial.variable()
+    product = Polynomial.constant(F(1))
+    for d in range(41):
+        got = falling_factorial(d)
+        assert got == product and hash(got) == hash(product)
+        assert all(type(c) is F for c in got.coeffs)
+        assert product.coeffs == tuple(stirling_first(d, j) for j in range(d + 1))
+        product = product * (x - d)
 
 
 def test_stirling_first_routes_agree():
@@ -121,8 +126,7 @@ def test_stirling_tables_run_without_recursion():
     for value in vars(special).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
-    for table in (special._STIRLING_FIRST_ROWS, special._STIRLING_SECOND_ROWS,
-                  special._FALLING_FACTORIALS):
+    for table in (special._STIRLING_FIRST_ROWS, special._STIRLING_SECOND_ROWS):
         del table[1:]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)

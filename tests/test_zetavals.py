@@ -1,7 +1,7 @@
 """Negative-argument zeta values and exponential-parameter expansions."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -318,9 +318,38 @@ def test_eta_coefficient_sum_matches_series():
             assert eta_coefficient_sum(n, m) == series.coefficient(m)
 
 
+def _compositions(total, parts):
+    """Weak compositions of ``total`` into ``parts`` nonnegative parts."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def eta_multinomial_reference(n, m):
+    """The multinomial expansion summed over every weak composition."""
+    euler_at_zero = [euler_polynomial(k)(Fraction(0)) for k in range(m + 1)]
+    total = Fraction(0)
+    for j in range(n + 1):
+        d = n + 1 - j
+        inner = Fraction(0)
+        for l in range(m + 1):
+            comp_total = Fraction(0)
+            for parts in _compositions(l, d):
+                weight = Fraction(factorial(l))
+                for li in parts:
+                    weight = weight / factorial(li) * euler_at_zero[li]
+                comp_total += weight
+            inner += comb(m, l) * Fraction(n + 2) ** (m - l) * comp_total
+        total += inner / Fraction((j + 1) * 2 ** d)
+    return total
+
+
 def test_eta_multinomial_sum_matches_weighted_eta_values():
-    for n in range(4):
-        for m in range(7):
+    for n in range(7):
+        for m in range(9):
             direct = sum(
                 (
                     eta_neg(m, Fraction(n + 2), order=n + 1 - j)
@@ -329,7 +358,9 @@ def test_eta_multinomial_sum_matches_weighted_eta_values():
                 ),
                 Fraction(0),
             )
-            assert eta_multinomial_sum(n, m) == direct
+            got = eta_multinomial_sum(n, m)
+            assert got == eta_multinomial_reference(n, m)
+            assert got == direct
 
 
 def test_hurwitz_coefficient_sum_matches_series():
