@@ -5,7 +5,9 @@ Subcommands: ``y`` (single values), ``table`` (closed forms), ``series``
 (p-adic Riemann-sum certificates), and ``oeis`` (the lcm-harmonic integer
 sequence).  Exit codes: 0 on success / all checks passing, 1 when the
 identity report contains an unexpected failure, 2 on usage errors, 3 when
-a ``verify`` record raised instead of completing its check.
+a ``verify`` record raised instead of completing its check or any other
+subcommand raised (one ``finsum <sub>: error: <Type>: <msg>`` line on
+stderr).  Integers print in full, whatever their number of digits.
 
 Rational arguments use the exact ``p/q`` grammar — no decimals.  Negative
 values are easiest to pass in equals form, e.g. ``--lambda=-7/4``.
@@ -54,7 +56,9 @@ def _parse_lambda(text: str) -> Fraction:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finsum",
-        description="Exact computations around the alternating log-sum numbers S(n, q).",
+        description="Exact computations around the alternating log-sum numbers S(n, q).  "
+        "Exit codes: 0 on success, 1 when an identity fails, 2 on usage errors, "
+        "3 when a computation raised (its error is written to stderr).",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
@@ -306,12 +310,21 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         sys.stderr.write("finsum: error: a subcommand is required\n")
         return 2
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.subcommand](args)
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"finsum {args.subcommand}: error: {exc}\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(f"finsum {args.subcommand}: error: {type(exc).__name__}: {exc}\n")
+        return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main_entry() -> None:

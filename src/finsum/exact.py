@@ -24,8 +24,8 @@ Polynomial and series products share one convolution (_convolve).  When
 every coefficient of both operands is an int or a Fraction, it scales each
 operand to int numerators over one common denominator, convolves the ints and
 reduces each product coefficient once, instead of reducing every partial
-product.  Coefficients from other rings (RationalFunction, Polynomial) take
-the generic term-by-term loop.
+product.  Coefficients from another ring (the RationalFunction coefficients
+of the weighted Bernoulli family) take the generic term-by-term loop.
 """
 
 from __future__ import annotations
@@ -279,12 +279,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Polynomial((Fraction(0),) * k + self.coeffs)
 
     # -- Euclidean structure (field coefficients) -------------------------
     def __divmod__(self, other):

@@ -101,8 +101,9 @@ from .zetavals import (
     cos_closed_form,
     cos_geometric_partial,
     cos_series_partial,
-    derangement_check,
+    derangement_sides,
     eta_coefficient_sum,
+    eta_multinomial_sum,
     eta_neg,
     even_coefficient_minus,
     even_map_rhs_series,
@@ -111,6 +112,8 @@ from .zetavals import (
     exp_parameter_series,
     fib_cos_partial,
     geometric_moment,
+    hurwitz_cancellation,
+    hurwitz_coefficient_sum,
     hurwitz_neg,
     lerch_neg,
     lerch_partial,
@@ -119,7 +122,6 @@ from .zetavals import (
     printed_closing_rhs,
     printed_even_bernoulli,
     printed_even_convolution,
-    section_check,
     weighted_number_sum,
 )
 
@@ -621,16 +623,16 @@ def _harmonic_split_as_printed(n, lam):
 def _check_derangement_balance(bound):
     sweep = _Sweep()
     for n in range(_numeric_bound(bound, default=12, cap=14) + 1):
-        row = derangement_check(n)
-        sweep.ok({"n": n}, row["ok"], row["lhs"], row["rhs"])
+        lhs, rhs, _ = derangement_sides(n)
+        sweep.eq({"n": n}, lhs, rhs)
         for q in _SMALL_LAMBDAS:
-            sweep.eq({"n": n, "lambda": q}, row["lhs"](q), row["rhs"](q))
+            sweep.eq({"n": n, "lambda": q}, lhs(q), rhs(q))
     return sweep.result()
 
 
 def _derangement_balance_as_printed(n, lam):
-    row = derangement_check(n)
-    return row["printed_lhs"](Fraction(lam)), row["rhs"](Fraction(lam))
+    _, rhs, printed_lhs = derangement_sides(n)
+    return printed_lhs(Fraction(lam)), rhs(Fraction(lam))
 
 
 def _derangement_expanded_sum(n: int, q: Fraction) -> Fraction:
@@ -648,23 +650,20 @@ def _check_derangement_expanded(bound):
     for q in _SMALL_LAMBDAS:
         for n in range(_numeric_bound(bound, default=10, cap=12) + 1):
             expanded = _derangement_expanded_sum(n, q)
-            row = derangement_check(n)
-            sweep.eq(
-                {"n": n, "lambda": q, "route": "scaled"},
-                expanded,
-                row["printed_lhs"](q),
-            )
+            _, rhs, printed_lhs = derangement_sides(n)
+            sweep.eq({"n": n, "lambda": q, "route": "scaled"}, expanded, printed_lhs(q))
             sweep.eq(
                 {"n": n, "lambda": q, "route": "normalised"},
                 expanded / factorial(n),
-                row["rhs"](q),
+                rhs(q),
             )
     return sweep.result()
 
 
 def _derangement_expanded_as_printed(n, lam):
     q = Fraction(lam)
-    return derangement_check(n)["rhs"](q), _derangement_expanded_sum(n, q)
+    _, rhs, _ = derangement_sides(n)
+    return rhs(q), _derangement_expanded_sum(n, q)
 
 
 _OEIS_FROZEN = (1, 3, 11, 25, 137, 147, 1089, 2283, 7129, 7381, 83711)
@@ -1381,8 +1380,13 @@ def _check_eta_series(bound):
     for n in range(ntop + 1):
         series = exp_parameter_series(n, -1, 1, mtop)
         for m in range(mtop + 1):
-            row = section_check("eta-series", n, m)
-            sweep.ok({"n": n, "m": m}, row["ok"], row["lhs"], row["rhs"])
+            abel = polynomial = Fraction(0)
+            for j in range(n + 1):
+                d = n + 1 - j
+                w = Fraction(1, (j + 1) * 2 ** d)
+                abel += eta_neg(m, n + 2, order=d, method="abel") * w
+                polynomial += eta_neg(m, n + 2, order=d) * w
+            sweep.eq({"n": n, "m": m}, abel, polynomial)
             sweep.eq(
                 {"n": n, "m": m, "route": "coefficient"},
                 eta_coefficient_sum(n, m),
@@ -1396,8 +1400,11 @@ def _check_euler_multinomial(bound):
     ntop = _numeric_bound(bound, default=6, cap=6)
     for n in range(ntop + 1):
         for m in range(9):
-            row = section_check("euler-multinomial", n, m)
-            sweep.ok({"n": n, "m": m}, row["ok"], row["lhs"], row["rhs"])
+            sweep.eq(
+                {"n": n, "m": m},
+                factorial(m) * eta_coefficient_sum(n, m),
+                eta_multinomial_sum(n, m),
+            )
     return sweep.result()
 
 
@@ -1481,8 +1488,11 @@ def _check_hurwitz_regular_map(bound):
     sweep = _Sweep()
     for n in range(_numeric_bound(bound, default=4, cap=4) + 1):
         for m in range(7):
-            row = section_check("hurwitz-regular", n, m)
-            sweep.ok({"n": n, "m": m}, row["ok"], row["lhs"], row["rhs"])
+            sweep.eq(
+                {"n": n, "m": m},
+                hurwitz_coefficient_sum(n, m),
+                exp_parameter_series(n, 1, 1, m).coefficient(m),
+            )
     return sweep.result()
 
 
@@ -1518,8 +1528,7 @@ def _check_hurwitz_zero_sum(bound):
     sweep = _Sweep()
     for n in range(_numeric_bound(bound, default=4, cap=4) + 1):
         for m in range(7):
-            row = section_check("hurwitz-zero", n, m)
-            sweep.ok({"n": n, "m": m}, row["ok"], row["lhs"], row["rhs"])
+            sweep.eq({"n": n, "m": m}, hurwitz_cancellation(n, m), Fraction(0))
     return sweep.result()
 
 
@@ -1594,8 +1603,15 @@ def _check_even_closing_balance(bound):
                 even_regular_half_argument(n, m),
             )
         for m in range(5):
-            row = section_check("mixed-even-corrected", n, m)
-            sweep.ok({"n": n, "m": m, "route": "bundled"}, row["ok"], row["lhs"], row["rhs"])
+            minus_sum = even_coefficient_minus(n, m)
+            minus_series = exp_parameter_series(n, -1, 2, m).coefficient(m)
+            plus_series = exp_parameter_series(n, 1, 2, m).coefficient(m)
+            ok = (
+                minus_sum == minus_series
+                and even_regular_plus(n, m) == plus_series
+                and even_regular_half_argument(n, m) == plus_series
+            )
+            sweep.ok({"n": n, "m": m, "route": "bundled"}, ok, minus_sum, minus_series)
     return sweep.result()
 
 

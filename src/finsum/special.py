@@ -296,15 +296,12 @@ def bernoulli_second(n: int, method: str = "series") -> Fraction:
 # higher-order Bernoulli / Euler polynomials
 # ---------------------------------------------------------------------------
 
-def _exp_aux(T: int) -> LaurentSeries:
-    """exp(y*u) through u^T with Polynomial-in-y coefficients."""
-    y = Polynomial.variable()
-    cs = [y ** j * Fraction(1, math.factorial(j)) for j in range(T + 1)]
-    return LaurentSeries(0, cs, T)
-
-
-def _as_polynomial(c) -> Polynomial:
-    return c if isinstance(c, Polynomial) else Polynomial.constant(Fraction(c))
+def _appell(power: LaurentSeries, m: int) -> Polynomial:
+    """m! [u^m] power(u) e^(y*u) as a Polynomial in y: the Appell sum whose
+    y^i coefficient is power_(m-i) m!/i!."""
+    top = math.factorial(m)
+    return Polynomial(tuple(power.coefficient(m - i) * (top // math.factorial(i))
+                            for i in range(m + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +313,7 @@ def bernoulli_polynomial(m: int, order: int = 1) -> Polynomial:
     T = m + 1
     base = LaurentSeries.monomial(1, 1) / (LaurentSeries.exponential(T)
                                            - LaurentSeries.one())
-    prod = base ** order * _exp_aux(m)
-    return _as_polynomial(prod.coefficient(m)) * math.factorial(m)
+    return _appell(base ** order, m)
 
 
 @lru_cache(maxsize=None)
@@ -329,8 +325,7 @@ def euler_polynomial(m: int, order: int = 1) -> Polynomial:
     T = m + 1
     base = LaurentSeries.monomial(2, 0) / (LaurentSeries.exponential(T)
                                            + LaurentSeries.one())
-    prod = base ** order * _exp_aux(m)
-    return _as_polynomial(prod.coefficient(m)) * math.factorial(m)
+    return _appell(base ** order, m)
 
 
 @lru_cache(maxsize=None)

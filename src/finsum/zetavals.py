@@ -7,13 +7,15 @@ This module evaluates, in exact rational arithmetic:
 * multiple alternating Hurwitz (Hurwitz-Euler eta) values at negative
   integers, realised either as higher-order Euler polynomials
   ``E^{(d)}_m(x)`` or through Abel summation of the defining alternating
-  series;
+  series, whose weights are Stirling sums;
 * Lerch-type interpolation ``sum_v w^v (v+b)^{m-1} -> -B_m(b; w)/m`` for
   ``|w| < 1`` together with exact partial sums for tail inspection;
 * the Laurent expansion in ``t`` of the log-sum numbers ``S(n, .)`` when
   the parameter is an exponential, ``lambda = +-exp(-s t)`` with
   ``s in {1, 2}``, plus closed coefficient formulas for those expansions
   and faithful evaluators for several incorrectly printed variants;
+* both sides of the balance between derangement numbers and ``S(n, w)``,
+  as rational functions of the weight;
 * partial sums of the cosine power series ``sum_v w^v cos(v)`` driven by
   weighted Stirling sums (the only floating-point corner of the package).
 
@@ -59,8 +61,7 @@ __all__ = [
     "printed_closing_lhs",
     "printed_closing_rhs",
     "even_map_rhs_series",
-    "section_check",
-    "derangement_check",
+    "derangement_sides",
     "cos_closed_form",
     "cos_geometric_partial",
     "odd_weighted_partial",
@@ -92,18 +93,19 @@ def hurwitz_neg(m: int, x, order: int = 1) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _abel_weights(order: int, top: int):
-    """Values ``A_j(1)`` of ``A_j(t) = (t d/dt)^j (1+t)^(-order)``.
+def _abel_weight(order: int, j: int) -> Fraction:
+    """Value ``A_j(1)`` of ``A_j(t) = (t d/dt)^j (1+t)^(-order)``.
 
     These are the Abel limits of ``sum_v C(v+order-1, v) (-1)^v v^j``.
+    Since ``(t d/dt)^j = sum_k S2(j, k) t^k (d/dt)^k``, the value is
+    ``sum_k S2(j, k) (-1)^k order^(k rising) / 2^(order+k)``.
     """
-    t = RationalFunction.variable()
-    cur = (t + 1) ** (-order) if order else RationalFunction(1)
-    values = []
-    for _ in range(top + 1):
-        values.append(cur(Fraction(1)))
-        cur = t * cur.derivative()
-    return tuple(values)
+    total = Fraction(0)
+    rising = 1
+    for k in range(j + 1):
+        total += Fraction((-1) ** k * stirling_second(j, k) * rising, 2 ** (order + k))
+        rising *= order + k
+    return total
 
 
 def eta_neg(m: int, x, order: int = 1, method: str = "polynomial") -> Fraction:
@@ -125,10 +127,9 @@ def eta_neg(m: int, x, order: int = 1, method: str = "polynomial") -> Fraction:
     if method == "polynomial":
         return euler_polynomial(m, order=order)(x)
     if method == "abel":
-        weights = _abel_weights(order, m)
         total = Fraction(0)
         for j in range(m + 1):
-            total += comb(m, j) * x ** (m - j) * weights[j]
+            total += comb(m, j) * x ** (m - j) * _abel_weight(order, j)
         return Fraction(2) ** order * total
     raise ValueError(f"unknown method {method!r}")
 
@@ -466,101 +467,22 @@ def even_map_rhs_series(n: int, T: int) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# bundled checks
+# derangement balance
 # ---------------------------------------------------------------------------
 
-_SECTION_KINDS = (
-    "eta-series",
-    "euler-multinomial",
-    "hurwitz-regular",
-    "hurwitz-zero",
-    "mixed-even",
-    "mixed-even-corrected",
-)
-
-
-def section_check(kind: str, n: int, m: int) -> dict:
-    """Run one coefficient-level check and report both sides exactly.
-
-    Returns ``{"kind", "n", "m", "ok", "lhs", "rhs"}`` (plus an
-    ``"extra"`` mapping for the mixed doubled-scale variants).  The
-    ``"mixed-even"`` kind evaluates printed formulas that are known to
-    be wrong, so its ``ok`` field is ``False`` with both sides reported.
-    """
-    if kind == "eta-series":
-        lhs = Fraction(0)
-        rhs = Fraction(0)
-        for j in range(n + 1):
-            d = n + 1 - j
-            w = Fraction(1, (j + 1) * 2 ** d)
-            lhs += eta_neg(m, Fraction(n + 2), order=d, method="abel") * w
-            rhs += eta_neg(m, Fraction(n + 2), order=d, method="polynomial") * w
-        return {"kind": kind, "n": n, "m": m, "ok": lhs == rhs, "lhs": lhs, "rhs": rhs}
-    if kind == "euler-multinomial":
-        lhs = Fraction(0)
-        for j in range(n + 1):
-            d = n + 1 - j
-            lhs += eta_neg(m, Fraction(n + 2), order=d) / Fraction((j + 1) * 2 ** d)
-        rhs = eta_multinomial_sum(n, m)
-        return {"kind": kind, "n": n, "m": m, "ok": lhs == rhs, "lhs": lhs, "rhs": rhs}
-    if kind == "hurwitz-regular":
-        lhs = hurwitz_coefficient_sum(n, m)
-        rhs = exp_parameter_series(n, 1, 1, m).coefficient(m)
-        return {"kind": kind, "n": n, "m": m, "ok": lhs == rhs, "lhs": lhs, "rhs": rhs}
-    if kind == "hurwitz-zero":
-        lhs = hurwitz_cancellation(n, m)
-        rhs = Fraction(0)
-        return {"kind": kind, "n": n, "m": m, "ok": lhs == rhs, "lhs": lhs, "rhs": rhs}
-    if kind == "mixed-even":
-        lhs = exp_parameter_series(n, -1, 2, m).coefficient(m)
-        bern = printed_even_bernoulli(n, m)
-        conv = printed_even_convolution(n, m)
-        ok = lhs == bern and lhs == conv
-        return {
-            "kind": kind,
-            "n": n,
-            "m": m,
-            "ok": ok,
-            "lhs": lhs,
-            "rhs": bern,
-            "extra": {"convolution": conv},
-        }
-    if kind == "mixed-even-corrected":
-        minus_series = exp_parameter_series(n, -1, 2, m).coefficient(m)
-        plus_series = exp_parameter_series(n, 1, 2, m).coefficient(m)
-        minus_sum = even_coefficient_minus(n, m)
-        plus_sum = even_regular_plus(n, m)
-        half_sum = even_regular_half_argument(n, m)
-        ok = minus_sum == minus_series and plus_sum == plus_series and half_sum == plus_series
-        return {
-            "kind": kind,
-            "n": n,
-            "m": m,
-            "ok": ok,
-            "lhs": minus_sum,
-            "rhs": minus_series,
-            "extra": {
-                "plus_series": plus_series,
-                "plus_sum": plus_sum,
-                "half_argument": half_sum,
-            },
-        }
-    raise ValueError(f"unknown check kind {kind!r}; expected one of {_SECTION_KINDS}")
-
-
-def derangement_check(n: int) -> dict:
-    """Symbolic balance between derangement numbers and log-sum numbers.
+@lru_cache(maxsize=None)
+def derangement_sides(n: int) -> tuple:
+    """Sides of the symbolic balance between derangement and log-sum numbers.
 
     The true identity compares
-    ``-(1/n!) sum_m C(n, m) ((1-w)/w)^{n-m+1} D_{n-m} d_m`` with
-    ``sum_j ((-1)^{n-j}/(n-j)!) (1-w)^{j+2} S(j, w)`` as rational
+    ``lhs = -(1/n!) sum_m C(n, m) ((1-w)/w)^{n-m+1} D_{n-m} d_m`` with
+    ``rhs = sum_j ((-1)^{n-j}/(n-j)!) (1-w)^{j+2} S(j, w)`` as rational
     functions of the weight ``w`` (``D`` Daehee numbers, ``d``
     derangement numbers).  A published variant omits the ``1/n!`` —
     the two sides come from an exponential and an ordinary generating
-    function respectively — so the unscaled combination is also
-    reported: ``ok`` refers to the scaled (correct) balance while
-    ``printed_ok`` evaluates the unscaled one, which fails from
-    ``n = 2`` on.
+    function respectively — so the unscaled ``printed_lhs`` is returned
+    too; it differs from ``rhs`` from ``n = 2`` on.  Returns
+    ``(lhs, rhs, printed_lhs)``.
     """
     L = RationalFunction.variable()
     ratio = (1 - L) / L
@@ -575,14 +497,7 @@ def derangement_check(n: int) -> dict:
         rhs = rhs + ((1 - L) ** (j + 2)) * logsum_symbolic(j) * Fraction(
             (-1) ** (n - j), factorial(n - j)
         )
-    return {
-        "n": n,
-        "ok": lhs == rhs,
-        "printed_ok": printed_lhs == rhs,
-        "lhs": lhs,
-        "rhs": rhs,
-        "printed_lhs": printed_lhs,
-    }
+    return lhs, rhs, printed_lhs
 
 
 # ---------------------------------------------------------------------------

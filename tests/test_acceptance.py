@@ -35,8 +35,17 @@ from finsum.volkenborn import integral_limit, volkenborn_sample
 from finsum.zetavals import (
     cos_closed_form,
     cos_geometric_partial,
+    eta_multinomial_sum,
+    eta_neg,
+    even_coefficient_minus,
+    even_regular_half_argument,
+    even_regular_plus,
+    exp_parameter_series,
+    hurwitz_cancellation,
+    hurwitz_coefficient_sum,
     odd_weighted_partial,
-    section_check,
+    printed_even_bernoulli,
+    printed_even_convolution,
     weighted_number_sum,
 )
 
@@ -175,33 +184,44 @@ def test_criterion_06_bernoulli_stirling_spine():
 
 def test_criterion_07_exponential_parameter_sweeps():
     with criterion(7, "exponential-parameter coefficient sweeps", 30.0):
-        for kind, ntop, mtop in (("eta-series", 6, 8), ("euler-multinomial", 6, 8)):
-            for n in range(ntop + 1):
-                for m in range(mtop + 1):
-                    row = section_check(kind, n, m)
-                    assert row["ok"], (kind, n, m, row["lhs"], row["rhs"])
-        for kind in ("hurwitz-regular", "hurwitz-zero"):
-            for n in range(5):
-                for m in range(7):
-                    row = section_check(kind, n, m)
-                    assert row["ok"], (kind, n, m, row["lhs"], row["rhs"])
-        # the even-index bundle: the original display fails and every
+        for n in range(7):
+            for m in range(9):
+                abel = polynomial = Fraction(0)
+                for j in range(n + 1):
+                    d = n + 1 - j
+                    w = Fraction(1, (j + 1) * 2 ** d)
+                    abel += eta_neg(m, n + 2, order=d, method="abel") * w
+                    polynomial += eta_neg(m, n + 2, order=d) * w
+                assert abel == polynomial, ("eta-series", n, m, abel, polynomial)
+                multinomial = eta_multinomial_sum(n, m)
+                assert polynomial == multinomial, ("euler-multinomial", n, m, polynomial, multinomial)
+        for n in range(5):
+            for m in range(7):
+                lhs = hurwitz_coefficient_sum(n, m)
+                rhs = exp_parameter_series(n, 1, 1, m).coefficient(m)
+                assert lhs == rhs, ("hurwitz-regular", n, m, lhs, rhs)
+                lhs = hurwitz_cancellation(n, m)
+                assert lhs == 0, ("hurwitz-zero", n, m, lhs)
+        # the even-index formulas: the original display fails and every
         # discrepancy is logged with exact both-sides values
         discrepancies = []
         for n in range(5):
             for m in range(7):
-                row = section_check("mixed-even", n, m)
-                if not row["ok"]:
+                minus_series = exp_parameter_series(n, -1, 2, m).coefficient(m)
+                bern = printed_even_bernoulli(n, m)
+                if not minus_series == bern == printed_even_convolution(n, m):
                     discrepancies.append(
-                        f"mixed-even n={n} m={m}: lhs={row['lhs']} rhs={row['rhs']}"
+                        f"mixed-even n={n} m={m}: lhs={minus_series} rhs={bern}"
                     )
-                corrected = section_check("mixed-even-corrected", n, m)
-                assert corrected["ok"], (n, m, corrected["lhs"], corrected["rhs"])
+                minus_sum = even_coefficient_minus(n, m)
+                assert minus_sum == minus_series, (n, m, minus_sum, minus_series)
+                plus_series = exp_parameter_series(n, 1, 2, m).coefficient(m)
+                assert even_regular_plus(n, m) == plus_series, (n, m)
+                assert even_regular_half_argument(n, m) == plus_series, (n, m)
         assert discrepancies, "the flawed even-index display unexpectedly verified"
-        first = section_check("mixed-even", 0, 0)
-        assert first["lhs"] == Fraction(1, 2)
-        assert first["rhs"] == Fraction(-3, 4)
-        assert first["extra"]["convolution"] == Fraction(-7, 4)
+        assert exp_parameter_series(0, -1, 2, 0).coefficient(0) == Fraction(1, 2)
+        assert printed_even_bernoulli(0, 0) == Fraction(-3, 4)
+        assert printed_even_convolution(0, 0) == Fraction(-7, 4)
         CRITERION_RESULTS.extend(
             "criterion  7   logged: " + line for line in discrepancies[:3]
         )

@@ -13,6 +13,7 @@ import pytest
 import finsum
 from finsum.cli import main
 from finsum.exact import parse_rational
+from finsum.logsum import harmonic_lcm_sequence
 
 # Directory holding the imported ``finsum`` package, so child processes run
 # the code under test whatever the working directory or installed copies.
@@ -73,6 +74,37 @@ def test_oeis_example(capsys):
     code, out, _ = run_cli(capsys, ["oeis", "--terms", "6"])
     assert code == 0
     assert out.strip() == "1 3 11 25 137 147"
+
+
+def test_oeis_prints_integers_beyond_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "oeis.txt"
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, _, err = run_cli(capsys, ["oeis", "--terms", "10000", "--output", str(path)])
+    assert code == 0, err
+    last = path.read_text().rstrip("\n").rsplit(" ", 1)[-1]
+    expected = harmonic_lcm_sequence(10000)[-1]
+    if limit is None:
+        assert int(last) == expected
+        return
+    assert sys.get_int_max_str_digits() == limit  # main restores the caller's setting
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(last) > 4300
+        assert int(last) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_crash_exits_three_with_one_error_line(capsys, monkeypatch):
+    def boom(args):
+        raise ArithmeticError("fabricated failure")
+
+    monkeypatch.setitem(finsum.cli._COMMANDS, "table", boom)
+    code, out, err = run_cli(capsys, ["table", "--max", "2"])
+    assert code == 3
+    assert out == ""
+    assert err == "finsum table: error: ArithmeticError: fabricated failure\n"
+    assert "Traceback" not in err
 
 
 def test_series_coefficients_round_trip(capsys):

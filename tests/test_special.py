@@ -269,6 +269,31 @@ def test_euler_polynomial_values():
         assert euler_polynomial(m)(F(0)) == expected
 
 
+def appell_reference(base, m, order):
+    """m! [u^m] base^order e^(y*u), with e^(y*u) a series whose coefficients
+    are Polynomials in y."""
+    y = Polynomial.variable()
+    exp_y = LaurentSeries(0, [y ** j * F(1, math.factorial(j)) for j in range(m + 1)], m)
+    c = (base ** order * exp_y).coefficient(m)
+    c = c if isinstance(c, Polynomial) else Polynomial.constant(F(c))
+    return c * math.factorial(m)
+
+
+def test_higher_order_polynomials_match_the_series_construction():
+    for m in range(15):
+        T = m + 1
+        bern = LaurentSeries.monomial(1, 1) / (LaurentSeries.exponential(T) - LaurentSeries.one())
+        eul = LaurentSeries.monomial(2, 0) / (LaurentSeries.exponential(T) + LaurentSeries.one())
+        for order in range(9):
+            for got, base in ((bernoulli_polynomial(m, order), bern),
+                              (euler_polynomial(m, order), eul)):
+                expected = appell_reference(base, m, order)
+                assert got == expected, (m, order)
+                assert hash(got) == hash(expected)
+                assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
+                assert all(type(c) is F for c in got.coeffs)
+
+
 def test_euler_numbers():
     assert [euler_number(n) for n in range(9)] == [1, 0, -1, 0, 5, 0, -61, 0, 1385]
     # independent oracle: E_n / n! is the u^n coefficient of 2/(e^u + e^-u)

@@ -6,6 +6,8 @@ from math import comb, factorial
 import pytest
 
 from finsum.exact import LaurentSeries, RationalFunction
+from finsum import zetavals
+from finsum.identities import run_identity
 from finsum.logsum import logsum_symbolic, logsum_value
 from finsum.special import (
     apostol_bernoulli,
@@ -19,7 +21,7 @@ from finsum.zetavals import (
     cos_closed_form,
     cos_geometric_partial,
     cos_series_partial,
-    derangement_check,
+    derangement_sides,
     eta_coefficient_sum,
     eta_multinomial_sum,
     eta_neg,
@@ -42,7 +44,6 @@ from finsum.zetavals import (
     printed_even_convolution,
     polynomial_at_series,
     rational_at_series,
-    section_check,
     weighted_number_sum,
 )
 
@@ -102,6 +103,26 @@ def test_eta_neg_abel_route_matches_polynomial_route():
                 assert eta_neg(m, x, order=d, method="abel") == eta_neg(
                     m, x, order=d, method="polynomial"
                 )
+
+
+def abel_reference(order, top):
+    """A_j(1) for A_j(t) = (t d/dt)^j (1+t)^(-order), j = 0..top, by repeated
+    differentiation of the rational function."""
+    t = RationalFunction.variable()
+    cur = (t + 1) ** (-order) if order else RationalFunction(1)
+    values = []
+    for _ in range(top + 1):
+        values.append(cur(Fraction(1)))
+        cur = t * cur.derivative()
+    return values
+
+
+def test_abel_weights_match_repeated_differentiation():
+    for order in range(9):
+        for j, expected in enumerate(abel_reference(order, 14)):
+            got = zetavals._abel_weight(order, j)
+            assert got == expected, (order, j)
+            assert type(got) is type(expected) is Fraction
 
 
 def test_eta_neg_pair_recurrence():
@@ -412,45 +433,57 @@ def test_even_map_series_reproduces_plus_map_not_minus_map():
 
 
 # ---------------------------------------------------------------------------
-# bundled checks
+# coefficient-level checks and the derangement balance
 # ---------------------------------------------------------------------------
 
 def test_section_checks_pass_where_expected():
     for n in range(4):
         for m in range(6):
-            for kind in ("eta-series", "euler-multinomial"):
-                assert section_check(kind, n, m)["ok"]
+            abel = polynomial = Fraction(0)
+            for j in range(n + 1):
+                d = n + 1 - j
+                w = Fraction(1, (j + 1) * 2 ** d)
+                abel += eta_neg(m, n + 2, order=d, method="abel") * w
+                polynomial += eta_neg(m, n + 2, order=d) * w
+            assert abel == polynomial
+            assert factorial(m) * eta_coefficient_sum(n, m) == eta_multinomial_sum(n, m)
     for n in range(3):
         for m in range(5):
-            assert section_check("hurwitz-regular", n, m)["ok"]
-            assert section_check("hurwitz-zero", n, m)["ok"]
-            assert section_check("mixed-even-corrected", n, m)["ok"]
+            assert hurwitz_coefficient_sum(n, m) == exp_parameter_series(n, 1, 1, m).coefficient(m)
+            assert hurwitz_cancellation(n, m) == 0
+            minus_series = exp_parameter_series(n, -1, 2, m).coefficient(m)
+            plus_series = exp_parameter_series(n, 1, 2, m).coefficient(m)
+            assert even_coefficient_minus(n, m) == minus_series
+            assert even_regular_plus(n, m) == plus_series
+            assert even_regular_half_argument(n, m) == plus_series
 
 
 def test_section_check_mixed_even_reports_both_sides():
-    row = section_check("mixed-even", 0, 0)
-    assert row["ok"] is False
-    assert row["lhs"] == HALF
-    assert row["rhs"] == Fraction(-3, 4)
-    assert row["extra"]["convolution"] == Fraction(-7, 4)
-
-
-def test_section_check_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        section_check("hurwitz-imagined", 1, 1)
+    assert exp_parameter_series(0, -1, 2, 0).coefficient(0) == HALF
+    assert printed_even_bernoulli(0, 0) == Fraction(-3, 4)
+    assert printed_even_convolution(0, 0) == Fraction(-7, 4)
 
 
 def test_derangement_check_scaled_balance_holds():
     for n in range(13):
-        row = derangement_check(n)
-        assert row["ok"]
-        assert row["printed_ok"] == (n <= 1)
+        lhs, rhs, printed_lhs = derangement_sides(n)
+        assert lhs == rhs
+        assert (printed_lhs == rhs) == (n <= 1)
 
 
 def test_derangement_check_frozen_counterexample():
-    row = derangement_check(2)
-    assert row["printed_lhs"](Fraction(2)) == Fraction(7, 12)
-    assert row["rhs"](Fraction(2)) == Fraction(7, 24)
+    _, rhs, printed_lhs = derangement_sides(2)
+    assert printed_lhs(Fraction(2)) == Fraction(7, 12)
+    assert rhs(Fraction(2)) == Fraction(7, 24)
+
+
+def test_derangement_records_build_each_side_once_per_n():
+    derangement_sides.cache_clear()
+    assert run_identity("derangement-balance")["passed"]
+    assert run_identity("derangement-expanded")["passed"]
+    # the balance sweeps n <= 12, the expanded form n <= 10, and the stored
+    # counterexamples sit at n = 2
+    assert derangement_sides.cache_info().misses == 13
 
 
 # ---------------------------------------------------------------------------
