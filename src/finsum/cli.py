@@ -11,6 +11,9 @@ stderr).  Integers print in full, whatever their number of digits.
 
 Rational arguments use the exact ``p/q`` grammar — no decimals.  Negative
 values are easiest to pass in equals form, e.g. ``--lambda=-7/4``.
+
+``main`` builds its parser once per process.  Each subcommand hands ``_emit``
+its plain, JSON and CSV forms, and ``_emit`` builds only the one printed.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import inf
 
 from .exact import format_rational, parse_rational
@@ -31,8 +35,8 @@ from .identities import (
     report_table,
     run_all,
 )
-from .logsum import harmonic_lcm_sequence, logsum, logsum_symbolic, table
-from .volkenborn import convergence_report
+from .logsum import _METHODS, harmonic_lcm_sequence, logsum, table
+from .volkenborn import _INTEGRANDS, convergence_report
 
 __all__ = ["main", "main_entry"]
 
@@ -53,7 +57,8 @@ def _parse_lambda(text: str) -> Fraction:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finsum",
         description="Exact computations around the alternating log-sum numbers S(n, q).  "
@@ -69,11 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_y = sub.add_parser("y", help="evaluate one value S(n, q)")
     p_y.add_argument("--n", type=int, required=True)
     p_y.add_argument("--lambda", dest="lam", default=None, metavar="Q")
-    p_y.add_argument(
-        "--method",
-        choices=("direct", "alg1", "recurrence", "symbolic"),
-        default="recurrence",
-    )
+    p_y.add_argument("--method", choices=_METHODS, default="recurrence")
     add_common(p_y)
 
     p_table = sub.add_parser("table", help="closed forms for n = 0..max")
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_volk = sub.add_parser("volkenborn", help="p-adic Riemann-sum convergence certificates")
     p_volk.add_argument("--p", type=int, required=True)
     p_volk.add_argument("--max-level", type=int, required=True, dest="max_level")
-    p_volk.add_argument("--integrand", choices=("power", "falling", "binom"), default="power")
+    p_volk.add_argument("--integrand", choices=_INTEGRANDS, default="power")
     p_volk.add_argument("--index", type=int, required=True)
     add_common(p_volk)
 
@@ -112,21 +113,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path) -> None:
-    if path is None:
+def _emit(args, plain, payload, header, rows) -> None:
+    """Build the form ``--format`` names and write it to stdout or ``--output``.
+
+    ``plain`` and ``payload`` (a JSON value, or JSON text) are zero-argument
+    callables and ``rows`` an iterable, so the other forms are never built.
+    """
+    if args.format == "plain":
+        text = plain()
+    elif args.format == "json":
+        text = payload()
+        if not isinstance(text, str):
+            text = json.dumps(text, indent=2)
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([str(cell) for cell in row] for row in rows)
+        text = buffer.getvalue().rstrip("\n")
+    if args.output is None:
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-
-
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, quoting=csv.QUOTE_ALL, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([str(cell) for cell in row])
-    return buffer.getvalue().rstrip("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +151,13 @@ def _cmd_y(args) -> int:
     value = logsum(args.n, lam, method=args.method)
     text = value.to_text() if lam is None else format_rational(value)
     lam_text = "symbolic" if lam is None else format_rational(lam)
-    if args.format == "plain":
-        _emit(text, args.output)
-    elif args.format == "json":
-        payload = {"n": args.n, "lambda": lam_text, "method": args.method, "value": text}
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        _emit(
-            _csv_text(("n", "lambda", "method", "value"), [(args.n, lam_text, args.method, text)]),
-            args.output,
-        )
+    _emit(
+        args,
+        lambda: text,
+        lambda: {"n": args.n, "lambda": lam_text, "method": args.method, "value": text},
+        ("n", "lambda", "method", "value"),
+        [(args.n, lam_text, args.method, text)],
+    )
     return 0
 
 
@@ -159,12 +165,13 @@ def _cmd_table(args) -> int:
     if args.max < 0:
         raise _UsageError("--max must be nonnegative")
     rows = table(args.max)
-    if args.format == "plain":
-        _emit("\n".join(rows), args.output)
-    elif args.format == "json":
-        _emit(json.dumps({"max": args.max, "rows": rows}, indent=2), args.output)
-    else:
-        _emit(_csv_text(("n", "expression"), list(enumerate(rows))), args.output)
+    _emit(
+        args,
+        lambda: "\n".join(rows),
+        lambda: {"max": args.max, "rows": rows},
+        ("n", "expression"),
+        enumerate(rows),
+    )
     return 0
 
 
@@ -173,13 +180,11 @@ def _series_for(which: str, order: int, lam) -> list:
         if lam is not None:
             raise _UsageError(f"--lambda does not apply to the fixed series {which!r}")
         series = log_gf_special(which, order)
+    elif lam is None:
+        raise _UsageError(f"--lambda is required for the series {which}")
     elif which == "G":
-        if lam is None:
-            raise _UsageError("--lambda is required for the series G")
         series = log_gf(order, lam)
     else:  # 2f1
-        if lam is None:
-            raise _UsageError("--lambda is required for the series 2f1")
         series = gauss_2f1(Fraction(1), Fraction(1), Fraction(2), order, scale=(lam - 1) / lam)
     return [series.coefficient(k) for k in range(order + 1)]
 
@@ -188,24 +193,19 @@ def _cmd_series(args) -> int:
     if args.order < 0:
         raise _UsageError("--order must be nonnegative")
     lam = None if args.lam is None else _parse_lambda(args.lam)
-    coefficients = _series_for(args.which, args.order, lam)
-    formatted = [format_rational(c) for c in coefficients]
-    lam_text = None if lam is None else format_rational(lam)
-    if args.format == "plain":
-        _emit(
-            "\n".join(f"{k}\t{value}" for k, value in enumerate(formatted)),
-            args.output,
-        )
-    elif args.format == "json":
-        payload = {
+    formatted = [format_rational(c) for c in _series_for(args.which, args.order, lam)]
+    _emit(
+        args,
+        lambda: "\n".join(f"{k}\t{value}" for k, value in enumerate(formatted)),
+        lambda: {
             "which": args.which,
             "order": args.order,
-            "lambda": lam_text,
+            "lambda": None if lam is None else format_rational(lam),
             "coefficients": formatted,
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        _emit(_csv_text(("order", "coefficient"), list(enumerate(formatted))), args.output)
+        },
+        ("order", "coefficient"),
+        enumerate(formatted),
+    )
     return 0
 
 
@@ -218,16 +218,16 @@ def _cmd_verify(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.format == "json":
-        _emit(report_json(report), args.output)
-    elif args.format == "csv":
-        rows = [
+    _emit(
+        args,
+        lambda: report_table(report),
+        lambda: report_json(report),
+        ("id", "status", "swept", "result"),
+        (
             (e["id"], e["status"], e["swept"], "pass" if e["passed"] else "FAIL")
             for e in report["records"]
-        ]
-        _emit(_csv_text(("id", "status", "swept", "result"), rows), args.output)
-    else:
-        _emit(report_table(report), args.output)
+        ),
+    )
     if any(e.get("error") for e in report["records"]):
         return 3
     return 0 if report["ok"] else 1
@@ -240,8 +240,20 @@ def _cmd_volkenborn(args) -> int:
         raise _UsageError(str(exc)) from None
     rows = report["rows"]
     ok = report["ok"]
-    if args.format == "json":
-        payload = {
+
+    def plain():
+        lines = [f"p={report['p']} integrand={report['integrand']} index={report['index']}"]
+        for r in rows:
+            lines.append(
+                f"N={r['N']}  partial={r['partial_sum']}  limit={r['limit']}  valuation={r['valuation']}"
+            )
+        lines.append(f"ok: {'yes' if ok else 'NO'}")
+        return "\n".join(lines)
+
+    _emit(
+        args,
+        plain,
+        lambda: {
             "p": report["p"],
             "integrand": report["integrand"],
             "index": report["index"],
@@ -251,29 +263,13 @@ def _cmd_volkenborn(args) -> int:
                 {k: ("+inf" if v == inf else v) for k, v in item.items()}
                 for item in report["violations"]
             ],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    elif args.format == "csv":
-        _emit(
-            _csv_text(
-                ("p", "level", "integrand", "index", "partial_sum", "limit", "valuation"),
-                [
-                    (r["p"], r["N"], r["integrand"], r["index"], r["partial_sum"], r["limit"], r["valuation"])
-                    for r in rows
-                ],
-            ),
-            args.output,
-        )
-    else:
-        lines = [
-            f"p={report['p']} integrand={report['integrand']} index={report['index']}"
-        ]
-        for r in rows:
-            lines.append(
-                f"N={r['N']}  partial={r['partial_sum']}  limit={r['limit']}  valuation={r['valuation']}"
-            )
-        lines.append(f"ok: {'yes' if ok else 'NO'}")
-        _emit("\n".join(lines), args.output)
+        },
+        ("p", "level", "integrand", "index", "partial_sum", "limit", "valuation"),
+        (
+            (r["p"], r["N"], r["integrand"], r["index"], r["partial_sum"], r["limit"], r["valuation"])
+            for r in rows
+        ),
+    )
     return 0 if ok else 1
 
 
@@ -281,12 +277,13 @@ def _cmd_oeis(args) -> int:
     if args.terms < 1:
         raise _UsageError("--terms must be at least 1")
     values = harmonic_lcm_sequence(args.terms)
-    if args.format == "plain":
-        _emit(" ".join(str(v) for v in values), args.output)
-    elif args.format == "json":
-        _emit(json.dumps({"terms": args.terms, "values": list(values)}, indent=2), args.output)
-    else:
-        _emit(_csv_text(("k", "value"), list(enumerate(values, start=1))), args.output)
+    _emit(
+        args,
+        lambda: " ".join(str(v) for v in values),
+        lambda: {"terms": args.terms, "values": list(values)},
+        ("k", "value"),
+        enumerate(values, start=1),
+    )
     return 0
 
 
@@ -301,7 +298,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

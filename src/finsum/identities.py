@@ -1084,12 +1084,10 @@ def _inverse_bernoulli_form(m: int, q):
             (
                 Fraction(n + 2, j + 1)
                 * (q / (q - 1)) ** (n - j)
-                * bernoulli(k)
-                * stirling_first(n + 1, k)
+                * daehee(n + 1, "bernoulli_stirling")
                 * stirling_second(m, n + 1)
                 for n in range(m + 1)
                 for j in range(n + 1)
-                for k in range(n + 2)
             ),
             Fraction(0),
         )

@@ -1,19 +1,25 @@
 """Command-line contract tests: outputs, formats, exit codes, round-trips."""
 
+import argparse
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finsum
 from finsum.cli import main
 from finsum.exact import parse_rational
-from finsum.logsum import harmonic_lcm_sequence
+from finsum.genfun import gauss_2f1, log_gf, log_gf_special
+from finsum.logsum import harmonic_lcm_sequence, logsum
 
 # Directory holding the imported ``finsum`` package, so child processes run
 # the code under test whatever the working directory or installed copies.
@@ -329,3 +335,137 @@ def test_verify_under_minimal_environment():
     )
     assert result.returncode == 0
     assert "records: 4  passed: 4  unexpected: 0" in result.stdout
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["oeis", "--terms", "1"]) == 0
+    built = len(added)
+    assert main(["oeis", "--terms", "1"]) == 0
+    assert len(added) == built  # the second call adds no argument
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys):
+    for argv in (
+        ["y", "--n", "2", "--lambda=3", "--method", "direct"],
+        ["y", "--n", "1", "--lambda", "0"],
+        ["y", "--n", "2", "--method", "symbolic"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        fresh = run_process(argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# Parameter texts for the in-process property test: well-formed rationals,
+# the excluded values 0 and 1 (also in disguise), and malformed text.
+PARAMETER_TEXTS = st.one_of(
+    st.none(),
+    st.sampled_from(["0", "1", "-0", "2/2", "0.5", "3/0", "1/-2", "abc", ""]),
+    st.integers(-30, 30).map(str),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-30, 30), st.integers(1, 12)),
+)
+CHEAP_RECORDS = (
+    "half-parameter-harmonic",
+    "two-parameter-step",
+    "half-parameter-step",
+    "oeis-lcm-harmonic",
+    "daehee-closed-form",
+    "no-such-record",
+)
+
+
+@st.composite
+def command_lines(draw):
+    """One argv for ``main`` at small sizes, and the options it was drawn from."""
+    sub = draw(st.sampled_from(["y", "table", "series", "oeis", "volkenborn", "verify"]))
+    opts = {"sub": sub}
+    if sub == "y":
+        opts.update(n=draw(st.integers(0, 12)), lam=draw(PARAMETER_TEXTS),
+                    method=draw(st.sampled_from(["direct", "alg1", "recurrence", "symbolic"])))
+        argv = ["y", "--n", str(opts["n"]), "--method", opts["method"]]
+    elif sub == "table":
+        argv = ["table", "--max", str(draw(st.integers(-1, 12)))]
+    elif sub == "series":
+        opts.update(which=draw(st.sampled_from(["G", "g1", "g2", "g3", "2f1"])),
+                    order=draw(st.integers(-1, 12)), lam=draw(PARAMETER_TEXTS))
+        argv = ["series", "--which", opts["which"], "--order", str(opts["order"])]
+    elif sub == "oeis":
+        argv = ["oeis", "--terms", str(draw(st.integers(0, 12)))]
+    elif sub == "volkenborn":
+        argv = ["volkenborn", "--p", str(draw(st.sampled_from([2, 3, 4, 5]))),
+                "--max-level", str(draw(st.integers(0, 3))),
+                "--integrand", draw(st.sampled_from(["power", "falling", "binom"])),
+                "--index", str(draw(st.integers(0, 4)))]
+    else:
+        argv = ["verify", "--id", draw(st.sampled_from(CHEAP_RECORDS)),
+                "--max-n", str(draw(st.integers(0, 2)))]
+    if opts.get("lam") is not None:
+        argv.append(f"--lambda={opts['lam']}")
+    fmt = draw(st.sampled_from([None, "plain", "json", "csv"]))
+    opts["format"] = fmt or "plain"
+    return argv + ([] if fmt is None else ["--format", fmt]), opts
+
+
+def printed_values(out: str, opts: dict) -> list:
+    """The value fields ``y`` and ``series`` printed, in order, as text."""
+    if opts["format"] == "json":
+        payload = json.loads(out)
+        return [payload["value"]] if opts["sub"] == "y" else payload["coefficients"]
+    if opts["format"] == "csv":
+        return [row[-1] for row in list(csv.reader(io.StringIO(out)))[1:]]
+    lines = out.rstrip("\n").split("\n")
+    return lines if opts["sub"] == "y" else [line.split("\t")[1] for line in lines]
+
+
+def library_values(opts: dict, lam) -> list:
+    if opts["sub"] == "y":
+        value = logsum(opts["n"], lam, method=opts["method"])
+        return [value.to_text() if lam is None else value]
+    order, which = opts["order"], opts["which"]
+    if which == "G":
+        series = log_gf(order, lam)
+    elif which == "2f1":
+        series = gauss_2f1(Fraction(1), Fraction(1), Fraction(2), order, scale=(lam - 1) / lam)
+    else:
+        series = log_gf_special(which, order)
+    return [series.coefficient(k) for k in range(order + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines())
+def test_main_in_process_exits_cleanly_and_prints_exact_values(drawn):
+    argv, opts = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if opts["sub"] not in ("y", "series"):
+        return
+    try:
+        lam = None if opts["lam"] is None else parse_rational(opts["lam"])
+    except ValueError:
+        assert code == 2, argv
+        return
+    if lam in (0, 1) or (opts["sub"] == "y" and lam is None and opts["method"] != "symbolic"):
+        assert code == 2, argv
+        return
+    if opts["sub"] == "y":
+        assert code == 0, (argv, err)
+    if code != 0:
+        return
+    printed = printed_values(out, opts)
+    expected = library_values(opts, lam)
+    if opts["sub"] == "y" and lam is None:
+        assert printed == expected
+    else:
+        assert [parse_rational(text) for text in printed] == expected
+
