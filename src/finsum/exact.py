@@ -7,11 +7,20 @@ Everything downstream is built on four layers:
   * RationalFunction    -- canonical-form quotient of integer-coefficient polynomials
   * LaurentSeries       -- truncated series with finitely many negative powers
 
-A RationalFunction has one constructor, which reduces in integer arithmetic.
-The rational functions of this package have poles only at 0, 1 and -1 (the
-closed forms of S(n) at 0 and 1, the weighted-Bernoulli and Euler identities
-add -1), so the constructor cancels the factors L, L-1 and L+1 by synthetic
-division and calls poly_gcd only when the denominator keeps another factor.
+A RationalFunction is stored in integers: primitive int numerator and
+denominator coefficient tuples a and b (b with positive leading coefficient)
+and a coprime positive scale sn/sd, the value being (sn*a)/(sd*b).  Its
+arithmetic runs on the int lists, and no Fraction is built or reduced per
+coefficient: by Gauss's lemma a product of primitive polynomials is already
+primitive.  Every result goes through one reduction (_reduce).  The rational
+functions of this package have poles only at 0, 1 and -1 (the closed forms of
+S(n) at 0 and 1, the weighted-Bernoulli and Euler identities add -1), so
+_reduce cancels the factors L, L-1 and L+1 by synthetic division and calls
+poly_gcd only when the denominator keeps another factor.  The
+Fraction-coefficient num and den are built on request.  At an int or
+Fraction point p/q, a RationalFunction and a Polynomial with int or Fraction
+coefficients are evaluated by Horner's rule in ints, and one Fraction is
+built at the end.
 
 The series layer tracks, for every result, the largest order through which its
 coefficients are exact, and refuses to report anything beyond that.  That rule
@@ -104,6 +113,33 @@ def format_rational(q) -> str:
 # polynomials
 # ---------------------------------------------------------------------------
 
+def _over_common_denominator(cs):
+    """(ints, d) with cs[i] == ints[i] / d and d the lcm of the denominators of
+    the int or Fraction coefficients cs."""
+    d = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _int_convolve(a, b, n):
+    """The first n coefficients of the product of the int lists a and b."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i], i):
+                out[j] += x * y
+    return out
+
+
+def _homogeneous(cs, p, q):
+    """q^(len(cs) - 1) times the int polynomial cs at p/q, by Horner's rule
+    in ints."""
+    acc, qk = 0, 1
+    for c in reversed(cs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
 def _convolve(a, b, n):
     """The first n coefficients of the product of the coefficient sequences a
     and b, as Fractions, or None unless every coefficient of both is an int or
@@ -112,17 +148,10 @@ def _convolve(a, b, n):
     a, b = a[:n], b[:n]
     if not all(isinstance(c, (int, Fraction)) for c in a + b):
         return None
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    ia = [c.numerator * (da // c.denominator) for c in a]
-    ib = [c.numerator * (db // c.denominator) for c in b]
-    out = [0] * n
-    for i, x in enumerate(ia):
-        if x:
-            for j, y in enumerate(ib[: n - i], i):
-                out[j] += x * y
+    ia, da = _over_common_denominator(a)
+    ib, db = _over_common_denominator(b)
     d = da * db
-    return [Fraction(c, d) for c in out]
+    return [Fraction(c, d) for c in _int_convolve(ia, ib, n)]
 
 
 def _trim(coeffs):
@@ -269,9 +298,22 @@ class Polynomial:
         return result
 
     def __call__(self, x):
-        """Horner evaluation; x may be a scalar, Polynomial or RationalFunction."""
+        """Horner evaluation; x may be a scalar, Polynomial or RationalFunction.
+
+        At an int or Fraction x, int and Fraction coefficients are evaluated in
+        ints over one common denominator, and one Fraction is built at the end
+        (an int when x and every coefficient are ints, as plain Horner gives).
+        """
+        cs = self.coeffs
+        if len(cs) > 1 and isinstance(x, (int, Fraction)) and all(
+                isinstance(c, (int, Fraction)) for c in cs):
+            ints, d = _over_common_denominator(cs)
+            acc = _homogeneous(ints, x.numerator, x.denominator)
+            if isinstance(x, int) and all(isinstance(c, int) for c in cs):
+                return acc
+            return Fraction(acc, d * x.denominator ** (len(cs) - 1))
         acc = None
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             acc = c if acc is None else acc * x + c
         if acc is None:
             return Fraction(0)
@@ -393,14 +435,16 @@ def _deflate(a, r):
 # ---------------------------------------------------------------------------
 
 class RationalFunction:
-    """Quotient of polynomials in canonical form.
+    """Quotient of polynomials in canonical form, stored in integers.
 
-    Canonical: num/den coprime, both with integer coefficients whose two
-    contents are themselves coprime, and den has positive leading coefficient.
+    The value is (sn * a) / (sd * b): a and b are coprime primitive int
+    coefficient tuples with b[-1] > 0, and sn, sd are coprime positive ints
+    (zero is a = (), b = (1,), sn = sd = 1).  The public num = sn * a and
+    den = sd * b are built with Fraction coefficients on each access.
     Equality is therefore structural.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_a", "_b", "_sn", "_sd")
 
     def __init__(self, num, den=None):
         if not isinstance(num, Polynomial):
@@ -411,33 +455,16 @@ class RationalFunction:
             den = Polynomial.constant(Fraction(den))
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            object.__setattr__(self, "num", Polynomial())
-            object.__setattr__(self, "den", Polynomial.constant(Fraction(1)))
-            return
-        a = [c.numerator for c in num.primitive().coeffs]
-        b = [c.numerator for c in den.primitive().coeffs]
-        # num/den = scale * a/b, with scale = num.content() / den.content()
-        scale = Fraction(num.leading * b[-1]) / (den.leading * a[-1])
-        # The denominators of this package have roots only at 0, 1 and -1.  rest
-        # is b with every factor L - r taken out; a and b lose each one they share.
-        rest = b
-        for r in (0, 1, -1):
-            k = 0
-            while (q := _deflate(rest, r)) is not None:
-                rest, k = q, k + 1
-            while k and (q := _deflate(a, r)) is not None:
-                a, b, k = q, _deflate(b, r), k - 1
-        if len(rest) > 1:  # a common factor left has no root at 0, 1 or -1
-            g = poly_gcd(Polynomial(a), Polynomial(rest))
-            if g.degree > 0:
-                a = [c.numerator for c in (Polynomial(a) // g).coeffs]
-                b = [c.numerator for c in (Polynomial(b) // g).coeffs]
-        sn, sd = scale.numerator, scale.denominator
-        if b[-1] < 0:
-            sn, sd = -sn, -sd
-        object.__setattr__(self, "num", Polynomial(tuple(Fraction(c * sn) for c in a)))
-        object.__setattr__(self, "den", Polynomial(tuple(Fraction(c * sd) for c in b)))
+        a, da = _over_common_denominator(num.coeffs)
+        b, db = _over_common_denominator(den.coeffs)
+        self._set(*_reduce(a, b, db, da))
+
+    def _set(self, a, b, sn, sd):
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_sn", sn)
+        object.__setattr__(self, "_sd", sd)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -447,17 +474,30 @@ class RationalFunction:
         return cls(Polynomial.variable())
 
     # -- structure --------------------------------------------------------
+    @property
+    def num(self) -> Polynomial:
+        sn = self._sn
+        return Polynomial(tuple(Fraction(sn * c) for c in self._a))
+
+    @property
+    def den(self) -> Polynomial:
+        sd = self._sd
+        return Polynomial(tuple(Fraction(sd * c) for c in self._b))
+
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._a)
 
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return (self._a, self._b, self._sn, self._sd) == (o._a, o._b, o._sn, o._sd)
 
     def __hash__(self):
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        # hash(Fraction(k)) == hash(k): the hash of the Fraction-coefficient form
+        sn, sd = self._sn, self._sd
+        return hash(("RationalFunction", tuple(sn * c for c in self._a),
+                     tuple(sd * c for c in self._b)))
 
     # -- field operations --------------------------------------------------
     @staticmethod
@@ -472,12 +512,21 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o._a:
+            return self
+        if not self._a:
+            return o
+        s, t = self._sn * o._sd, o._sn * self._sd
+        if self._b == o._b:
+            return _reduced(_int_combine(s, self._a, t, o._a), self._b, 1, self._sd * o._sd)
+        return _reduced(_int_combine(s, _int_mul(self._a, o._b), t, _int_mul(o._a, self._b)),
+                        _int_mul(self._b, o._b), 1, self._sd * o._sd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return object.__new__(RationalFunction)._set(
+            tuple(-c for c in self._a), self._b, self._sn, self._sd)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -495,7 +544,8 @@ class RationalFunction:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return _reduced(_int_mul(self._a, o._a), _int_mul(self._b, o._b),
+                        self._sn * o._sn, self._sd * o._sd)
 
     __rmul__ = __mul__
 
@@ -505,7 +555,8 @@ class RationalFunction:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return _reduced(_int_mul(self._a, o._b), _int_mul(self._b, o._a),
+                        self._sn * o._sd, self._sd * o._sn)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -514,35 +565,123 @@ class RationalFunction:
         return o / self
 
     def __pow__(self, k: int):
+        # powers of coprime primitive parts stay coprime and primitive
+        a, b, sn, sd = self._a, self._b, self._sn, self._sd
         if k < 0:
             if not self:
                 raise ZeroDivisionError("0 ** negative")
-            return RationalFunction(self.den ** (-k), self.num ** (-k))
-        return RationalFunction(self.num ** k, self.den ** k)
+            k = -k
+            a, b, sn, sd = b, a, sd, sn
+            if b[-1] < 0:
+                a, b = tuple(-c for c in a), tuple(-c for c in b)
+        return object.__new__(RationalFunction)._set(
+            _int_pow(a, k), _int_pow(b, k), sn ** k, sd ** k)
 
     def __call__(self, x):
-        d = self.den(x)
-        if isinstance(d, Fraction) and d == 0:
+        if not isinstance(x, (int, Fraction)):
+            d = self.den(x)
+            if isinstance(d, Fraction) and d == 0:
+                raise ZeroDivisionError(f"pole at {x}")
+            return Fraction(self.num(x)) / Fraction(d) if isinstance(d, Fraction) else self.num(x) / d
+        # homogeneous Horner at x = p/q: a(p/q) / b(p/q) = A * q^(deg b - deg a) / B
+        p, q = x.numerator, x.denominator
+        den = _homogeneous(self._b, p, q)
+        if not den:
             raise ZeroDivisionError(f"pole at {x}")
-        return Fraction(self.num(x)) / Fraction(d) if isinstance(d, Fraction) else self.num(x) / d
+        num = self._sn * _homogeneous(self._a, p, q)
+        den *= self._sd
+        e = len(self._b) - len(self._a)
+        return Fraction(num * q ** e, den) if e >= 0 else Fraction(num, den * q ** -e)
 
     def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        a, b = self._a, self._b
+        da = [k * c for k, c in enumerate(a)][1:]
+        db = [k * c for k, c in enumerate(b)][1:]
+        return _reduced(_int_combine(1, _int_mul(da, b), -1, _int_mul(a, db)),
+                        _int_mul(b, b), self._sn, self._sd)
 
     def to_text(self, letter: str = "L", descending: bool = False) -> str:
-        n = self.num.to_text(letter, descending)
-        if self.den == Polynomial.constant(Fraction(1)):
+        num, den = self.num, self.den
+        n = num.to_text(letter, descending)
+        if den == Polynomial.constant(Fraction(1)):
             return n
-        d = self.den.to_text(letter, descending)
-        np = n if (self.num.degree <= 0 and "-" not in n) else f"({n})"
-        dp = d if self.den.degree <= 0 else f"({d})"
+        d = den.to_text(letter, descending)
+        np = n if (num.degree <= 0 and "-" not in n) else f"({n})"
+        dp = d if den.degree <= 0 else f"({d})"
         return f"{np}/{dp}"
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()})"
+
+
+def _int_mul(a, b):
+    """The product of two int coefficient sequences as a list; an empty
+    sequence is the zero polynomial."""
+    return _int_convolve(a, b, len(a) + len(b) - 1) if a and b else []
+
+
+def _int_combine(s, x, t, y):
+    """s * x + t * y for int coefficient sequences x and y."""
+    if len(x) < len(y):
+        s, x, t, y = t, y, s, x
+    out = [s * c for c in x]
+    for i, c in enumerate(y):
+        out[i] += t * c
+    return out
+
+
+def _int_pow(a, k):
+    result = (1,)
+    while k:
+        if k & 1:
+            result = tuple(_int_mul(result, a))
+        k >>= 1
+        if k:
+            a = _int_mul(a, a)
+    return result
+
+
+def _reduce(a, b, sn, sd):
+    """The canonical int form (a, b, sn, sd) of (sn * a) / (sd * b), for a
+    fresh int coefficient list a (trimmed in place), an int coefficient
+    sequence b != 0 and positive ints sn and sd.
+
+    The contents go into the scale.  The denominators of this package have
+    roots only at 0, 1 and -1, so the factors L, L - 1 and L + 1 are cancelled
+    by synthetic division, and poly_gcd runs only when b keeps another factor.
+    """
+    while a and not a[-1]:
+        a.pop()
+    if not a:
+        return (), (1,), 1, 1
+    ga, gb = math.gcd(*a), math.gcd(*b)
+    if b[-1] < 0:
+        ga, gb = -ga, -gb
+    if ga != 1:
+        a = [c // ga for c in a]
+    if gb != 1:
+        b = [c // gb for c in b]
+    sn, sd = sn * abs(ga), sd * abs(gb)
+    if len(b) > 1:
+        # rest is b with every factor L - r taken out; a and b lose each one they share
+        rest = b
+        for r in (0, 1, -1):
+            k = 0
+            while (q := _deflate(rest, r)) is not None:
+                rest, k = q, k + 1
+            while k and (q := _deflate(a, r)) is not None:
+                a, b, k = q, _deflate(b, r), k - 1
+        if len(rest) > 1:  # a common factor left has no root at 0, 1 or -1
+            g = poly_gcd(Polynomial(a), Polynomial(rest))
+            if g.degree > 0:
+                a = [c.numerator for c in (Polynomial(a) // g).coeffs]
+                b = [c.numerator for c in (Polynomial(b) // g).coeffs]
+    g = math.gcd(sn, sd)
+    return tuple(a), tuple(b), sn // g, sd // g
+
+
+def _reduced(a, b, sn, sd):
+    return object.__new__(RationalFunction)._set(*_reduce(a, b, sn, sd))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ the falling-factorial moments.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import repeat
+from math import comb, factorial, perm
 
 from .exact import (
     INFINITY,
@@ -52,6 +53,9 @@ __all__ = [
 BUDGETS = {2: 10, 3: 10, 5: 6, 7: 6}
 
 _INTEGRANDS = ("power", "falling", "binom")
+
+# term functions f(x, index) for x >= 0; perm(x, n) is the falling factorial
+_TERMS = {"power": pow, "falling": perm, "binom": comb}
 
 
 @dataclass(frozen=True)
@@ -122,14 +126,11 @@ def riemann_sum(
     """
     _validate(p, level, integrand, index)
     span = p ** level
+    term = _TERMS[integrand]
     if method == "linear":
-        total = sum(integrand_value(integrand, index, x) for x in range(span))
+        total = sum(map(term, range(span), repeat(index)))
     elif method == "blocked":
-        inner = p ** (level - 1)
-        total = 0
-        for a in range(p):
-            for b in range(inner):
-                total += integrand_value(integrand, index, a + p * b)
+        total = sum(sum(map(term, range(a, span, p), repeat(index))) for a in range(p))
     else:
         raise ValueError(f"method must be 'linear' or 'blocked', got {method!r}")
     return Fraction(total, span)

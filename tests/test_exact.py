@@ -1,6 +1,7 @@
 """Kernel tests: rationals, polynomials, rational functions, Laurent series."""
 
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from finsum.exact import (
 )
 from finsum.genfun import log_gf
 from finsum.logsum import logsum_value
+from kernel_reference import RationalFunctionReference, horner_reference
 
 F = Fraction
 
@@ -179,27 +181,32 @@ def _primitive_reference(p):
     return Polynomial(tuple(F(c) / g for c in p.coeffs))
 
 
-def gcd_reference(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """num/den reduced through poly_gcd for every pair, then scaled to the
-    canonical form: the reference for RationalFunction's constructor, which
-    cancels the poles 0, 1 and -1 in integers and reaches poly_gcd only for
-    other factors."""
+def gcd_reference(num: Polynomial, den: Polynomial):
+    """(num, den) of num/den reduced through poly_gcd for every pair, then
+    scaled to the canonical form: the reference for RationalFunction's
+    constructor, which cancels the poles 0, 1 and -1 in integers and reaches
+    poly_gcd only for other factors."""
     if not num:
-        num, den = Polynomial(), Polynomial.constant(F(1))
-    else:
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        scale = _content_reference(num) / _content_reference(den)
-        num = Polynomial(tuple(c * scale.numerator for c in _primitive_reference(num).coeffs))
-        den = Polynomial(tuple(c * scale.denominator for c in _primitive_reference(den).coeffs))
-        if F(den.leading) < 0:
-            num, den = -num, -den
-    ref = object.__new__(RationalFunction)
-    object.__setattr__(ref, "num", num)
-    object.__setattr__(ref, "den", den)
-    return ref
+        return Polynomial(), Polynomial.constant(F(1))
+    g = poly_gcd(num, den)
+    if g.degree > 0:
+        num = num // g
+        den = den // g
+    scale = _content_reference(num) / _content_reference(den)
+    num = Polynomial(tuple(c * scale.numerator for c in _primitive_reference(num).coeffs))
+    den = Polynomial(tuple(c * scale.denominator for c in _primitive_reference(den).coeffs))
+    if F(den.leading) < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def assert_same_ratfun(got, want):
+    """got, a RationalFunction, holds the canonical form of want, a
+    RationalFunctionReference: typed coefficients, ==, hash and repr."""
+    assert typed_coeffs(got.num) == typed_coeffs(want.num)
+    assert typed_coeffs(got.den) == typed_coeffs(want.den)
+    assert got == RationalFunction(want.num, want.den)
+    assert hash(got) == hash(want) and repr(got) == repr(want)
 
 
 def typed_coeffs(p):
@@ -231,10 +238,8 @@ def test_ratfun_constructor_matches_gcd_reference(a, pa, sa, b, pb, sb, common, 
     shared = poly(*common)
     num = with_poles(a, pa, sa, as_ints) * shared
     den = with_poles(b, pb, sb, as_ints) * shared
-    got, want = RationalFunction(num, den), gcd_reference(num, den)
-    assert typed_coeffs(got.num) == typed_coeffs(want.num)
-    assert typed_coeffs(got.den) == typed_coeffs(want.den)
-    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    want = RationalFunctionReference.from_parts(*gcd_reference(num, den))
+    assert_same_ratfun(RationalFunction(num, den), want)
 
 
 @settings(max_examples=100)
@@ -263,6 +268,71 @@ def test_ratfun_evaluation_is_a_homomorphism(f, g, q):
     assert (f * g)(q) == fq * gq
     if gq:
         assert (f / g)(q) == fq / gq
+
+
+small_pole_powers = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+
+
+@st.composite
+def ratfun_twins(draw):
+    """A RationalFunction and its RationalFunctionReference twin, over a
+    numerator and a denominator built by with_poles (the numerator may be 0)."""
+    num = with_poles(draw(coeff_lists), draw(small_pole_powers), draw(scalars), draw(st.booleans()))
+    den = with_poles(draw(nonzero_coeff_lists), draw(small_pole_powers), draw(scalars),
+                     draw(st.booleans()))
+    return RationalFunction(num, den), RationalFunctionReference(num, den)
+
+
+@st.composite
+def ratfun_operands(draw):
+    """A second operand for both kernels: twin rational functions, or one
+    int, Fraction or Polynomial given to both."""
+    kind = draw(st.sampled_from(("ratfun", "int", "fraction", "polynomial")))
+    if kind == "ratfun":
+        return draw(ratfun_twins())
+    if kind == "int":
+        value = draw(st.integers(min_value=-5, max_value=5))
+    elif kind == "fraction":
+        value = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    else:
+        value = with_poles(draw(coeff_lists), draw(small_pole_powers), as_ints=draw(st.booleans()))
+    return value, value
+
+
+def _raised(compute):
+    try:
+        return compute()
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, RationalFunctionReference):
+        assert_same_ratfun(got, want)
+    else:
+        assert (type(got), got) == (type(want), want)
+
+
+evaluation_points = (st.integers(min_value=-6, max_value=6)
+                     | st.fractions(min_value=-6, max_value=6, max_denominator=9)
+                     | st.sampled_from((0.5, 1.0, -1.0, 2.25)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratfun_twins(), ratfun_operands(), st.integers(min_value=-3, max_value=3),
+       st.lists(evaluation_points, max_size=4))
+def test_ratfun_matches_reference_kernel(twins, operand, k, points):
+    f, ref = twins
+    g, gref = operand
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        _same_outcome(_raised(lambda: op(f, g)), _raised(lambda: op(ref, gref)))
+        _same_outcome(_raised(lambda: op(g, f)), _raised(lambda: op(gref, ref)))
+    _same_outcome(-f, -ref)
+    _same_outcome(_raised(lambda: f ** k), _raised(lambda: ref ** k))
+    _same_outcome(f.derivative(), ref.derivative())
+    assert (f == g) == (ref == gref) and bool(f) == bool(ref)
+    for x in [0, 1, -1, F(0), F(1)] + points:
+        _same_outcome(_raised(lambda: f(x)), _raised(lambda: ref(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +606,27 @@ def test_products_match_generic_loops(operands):
         assert typed_coeffs(a * b) == typed_coeffs(mul_reference(a, b))
     for a, b in ((sa, sb), (sb, sa)):
         assert _typed_series(a * b) == _typed_series(mul_reference(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals | st.sampled_from(_RATFUN_POOL[1:3]), max_size=7),
+       rationals | st.sampled_from((0.5, -2.0, _RATFUN_POOL[2])))
+@example([1, 2], 3)
+@example([5], F(1, 2))
+@example([5], 0.5)
+@example([F(1), 2], 2)
+@example([1, F(2)], F(3, 2))
+@example([], F(1, 3))
+def test_polynomial_evaluation_matches_horner(cs, x):
+    p = Polynomial(tuple(cs))
+
+    def typed(evaluate):
+        try:
+            value = evaluate(x)
+        except TypeError as exc:  # a rational function times a float
+            return TypeError, str(exc)
+        return type(value), value
+    assert typed(p) == typed(lambda x: horner_reference(p, x))
 
 
 def test_log_gf_at_order_1500_in_budget():

@@ -24,7 +24,8 @@ from finsum.logsum import (
     table_entry,
 )
 
-from test_exact import gcd_reference, typed_coeffs
+from kernel_reference import RationalFunctionReference
+from test_exact import assert_same_ratfun, gcd_reference, typed_coeffs
 
 # the package re-exports the function logsum, which shadows the module name
 logsum_module = importlib.import_module("finsum.logsum")
@@ -185,11 +186,8 @@ def test_closed_form_equals_gcd_constructor():
     for n in range(41):
         num, scale, power = logsum_module._symbolic_parts(n)
         den = Polynomial.monomial(Fraction(scale), power) * shifted ** power
-        want = gcd_reference(num, den)
-        got = logsum_symbolic(n)
-        assert typed_coeffs(got.num) == typed_coeffs(want.num)
-        assert typed_coeffs(got.den) == typed_coeffs(want.den)
-        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        want = RationalFunctionReference.from_parts(*gcd_reference(num, den))
+        assert_same_ratfun(logsum_symbolic(n), want)
 
 
 @settings(max_examples=40, deadline=None)

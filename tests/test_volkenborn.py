@@ -19,6 +19,7 @@ from finsum.volkenborn import (
     integral_limit,
     mahler_route_value,
     integral_series_check,
+    integrand_value,
     riemann_sum,
     sample_row,
     volkenborn_sample,
@@ -46,6 +47,31 @@ def test_budget_rejections():
         volkenborn_sample(3, 2, "power", -1)
     with pytest.raises(ValueError):
         riemann_sum(3, 2, "power", 1, method="shuffled")
+
+
+def riemann_sum_reference(p, level, integrand, index, method):
+    """The Riemann sum by one integrand_value call per point, in the order
+    riemann_sum used to walk: the reference for its term-function sums."""
+    span = p ** level
+    if method == "linear":
+        total = sum(integrand_value(integrand, index, x) for x in range(span))
+    else:
+        total = 0
+        for a in range(p):
+            for b in range(p ** (level - 1)):
+                total += integrand_value(integrand, index, a + p * b)
+    return Fraction(total, span)
+
+
+@pytest.mark.parametrize("integrand", ["power", "falling", "binom"])
+def test_riemann_sum_matches_pointwise_loops(integrand):
+    for p, max_level in ((2, 7), (3, 5), (5, 3), (7, 3)):
+        for level in range(1, max_level + 1):
+            for index in range(9):
+                for method in ("linear", "blocked"):
+                    got = riemann_sum(p, level, integrand, index, method=method)
+                    want = riemann_sum_reference(p, level, integrand, index, method)
+                    assert (type(got), got) == (type(want), want)
 
 
 # ---------------------------------------------------------------------------
