@@ -24,17 +24,33 @@ built at the end.
 
 The series layer tracks, for every result, the largest order through which its
 coefficients are exact, and refuses to report anything beyond that.  That rule
-is what keeps the substitution checks (poles at t = 0 and all) honest.  It
-divides by long division (LaurentSeries.divide), one loop that writes each
-quotient coefficient from the earlier ones; the inverse is 1 divided by the
-series.
+is what keeps the substitution checks (poles at t = 0 and all) honest.
 
-Polynomial and series products share one convolution (_convolve).  When
-every coefficient of both operands is an int or a Fraction, it scales each
-operand to int numerators over one common denominator, convolves the ints and
-reduces each product coefficient once, instead of reducing every partial
-product.  Coefficients from another ring (the RationalFunction coefficients
-of the weighted Bernoulli family) take the generic term-by-term loop.
+A LaurentSeries with int and Fraction coefficients is held in one of two
+forms.  The int form is a primitive int numerator tuple over one positive
+denominator.  Products, negation, the derivative and the exponential and
+geometric series run on those ints, and so does a sum with an int-form
+operand; each result is reduced once, by one gcd over its numerators.  A
+series built from Fractions that are not all integers (by the constructor,
+or by mercator, whose coefficients over the one denominator lcm(1..T) * q^T
+would all be as large as the last) keeps them as given, reduced one by one,
+and so do a sum of two such series and a quotient with such a dividend: each
+of their coefficients prints without a gcd.  A Fraction is built only when
+coefficient(), coeffs, to_text or hash asks for one.  Coefficients from
+another ring (the RationalFunction coefficients of the weighted Bernoulli
+family) and floats take the term-by-term loops.
+
+A quotient is computed by long division (LaurentSeries.divide), each
+coefficient from the earlier ones; the inverse is 1 divided by the series.
+An int-form dividend over an int or Fraction divisor is divided in ints.
+When the divisor over its constant term b_0 has int coefficients (as
+z - 1 and z^2 - z do) the recurrence runs fraction-free and the result is
+reduced once; otherwise each quotient coefficient is reduced as it is
+written, with one lcm and one gcd, because b_0 holds the divisor's common
+denominator and its powers must not pile up.
+
+Polynomial products use the same integer convolution (_convolve), which
+builds a Fraction for each product coefficient.
 """
 
 from __future__ import annotations
@@ -696,15 +712,27 @@ def _as_order(t):
     return INFINITY if t is None else t
 
 
+def _order(T):
+    """The truncation order of a result: None for INFINITY."""
+    return None if T == INFINITY else int(T)
+
+
 class LaurentSeries:
-    """Series sum(coeffs[i] * z^(offset+i)); exact through order `trunc`.
+    """Series sum(c_i * z^(offset+i)); exact through order `trunc`.
 
     trunc = None means the series is exactly the stored finite sum (a Laurent
     polynomial).  Every operation computes the tightest truncation order its
     inputs support; coefficient() raises TruncationError past that order.
+
+    The terms are stored in one of two forms, both without leading or
+    trailing zeros.  In the int form _d is a positive int and c_i = _n[i] / _d
+    with gcd(_d, *_n) = 1, so equal int forms are equal tuples.  Otherwise _d
+    is None and _n holds the coefficients as given: Fractions reduced one by
+    one, or elements of another ring.  coeffs builds the coefficients of an
+    int form on request.
     """
 
-    __slots__ = ("offset", "coeffs", "trunc")
+    __slots__ = ("offset", "trunc", "_n", "_d")
 
     def __init__(self, offset: int, coeffs, trunc=None):
         cs = list(coeffs)
@@ -718,9 +746,18 @@ class LaurentSeries:
             cs.pop()
         if not cs:
             offset = 0
+        d = None
+        if all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
+               for c in cs):
+            cs, d = [c.numerator for c in cs], 1
+        self._set(offset, trunc, tuple(cs), d)
+
+    def _set(self, offset, trunc, n, d):
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_d", d)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentSeries is immutable")
@@ -732,7 +769,7 @@ class LaurentSeries:
 
     @classmethod
     def one(cls):
-        return cls(0, (Fraction(1),))
+        return cls(0, (1,))
 
     @classmethod
     def monomial(cls, c, k: int = 1):
@@ -745,11 +782,22 @@ class LaurentSeries:
     @classmethod
     def geometric(cls, T: int):
         """1 + z + z^2 + ... through order T."""
-        return cls(0, (Fraction(1),) * (T + 1), T)
+        return _int_series(0, [1] * (T + 1), 1, T)
 
     @classmethod
     def exponential(cls, T: int, scale=Fraction(1)):
         """exp(scale * z) through order T."""
+        if isinstance(scale, (int, Fraction)):
+            # scale = p/q: c_k = p^k * q^(T-k) * (T!/k!) over T! * q^T
+            p, q = scale.numerator, scale.denominator
+            rest = [1] * (T + 1)  # rest[k] = q^(T-k) * T!/k!
+            for k in range(T, 0, -1):
+                rest[k - 1] = rest[k] * k * q
+            n, pk = [], 1
+            for r in rest:
+                n.append(pk * r)
+                pk *= p
+            return _int_series(0, n, rest[0] if rest else 1, T)
         cs = []
         c = Fraction(1)
         for k in range(T + 1):
@@ -759,7 +807,12 @@ class LaurentSeries:
 
     @classmethod
     def mercator(cls, T: int, scale=Fraction(1)):
-        """ln(1 + scale*z) = sum_{j>=1} (-1)^(j+1) (scale*z)^j / j through T."""
+        """ln(1 + scale*z) = sum_{j>=1} (-1)^(j+1) (scale*z)^j / j through T.
+
+        The coefficients are built as reduced Fractions: over one common
+        denominator lcm(1..T) * q^T they would all be as large as the last,
+        and a quotient by a polynomial would cost one such gcd per printed
+        coefficient."""
         cs = [Fraction(0)]
         p = Fraction(1)
         for j in range(1, T + 1):
@@ -768,6 +821,14 @@ class LaurentSeries:
         return cls(0, cs, T)
 
     # -- structure --------------------------------------------------------
+    @property
+    def coeffs(self):
+        """The stored coefficients c_i; Fractions for the int form."""
+        d = self._d
+        if d is None:
+            return self._n
+        return tuple(Fraction(c, d) for c in self._n)
+
     @property
     def min_order(self) -> int:
         return self.offset
@@ -778,18 +839,23 @@ class LaurentSeries:
         return _as_order(self.trunc)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._n)
 
     def coefficient(self, k: int):
         if self.trunc is not None and k > self.trunc:
             raise TruncationError(f"order {k} beyond truncation {self.trunc}")
         i = k - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._n):
+            return self._n[i] if self._d is None else Fraction(self._n[i], self._d)
         return Fraction(0)
 
     def coefficients(self, lo: int, hi: int):
         return [self.coefficient(k) for k in range(lo, hi + 1)]
+
+    def _same_terms(self, other) -> bool:
+        if self._d is not None and other._d is not None:
+            return self._n == other._n and self._d == other._d
+        return self.coeffs == other.coeffs
 
     def agrees_with(self, other: "LaurentSeries", through=None) -> bool:
         """Coefficient-wise equality through min of the reliable windows."""
@@ -797,7 +863,7 @@ class LaurentSeries:
         if through is not None:
             hi = min(hi, through)
         if hi == INFINITY:
-            return self.offset == other.offset and self.coeffs == other.coeffs
+            return self.offset == other.offset and self._same_terms(other)
         lo = min(self.offset, other.offset)
         hi = int(hi)
         return all(self.coefficient(k) == other.coefficient(k) for k in range(lo, hi + 1))
@@ -805,10 +871,31 @@ class LaurentSeries:
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.offset, self.coeffs, self.trunc) == (other.offset, other.coeffs, other.trunc)
+        return ((self.offset, self.trunc) == (other.offset, other.trunc)
+                and self._same_terms(other))
 
     def __hash__(self):
+        # hash(Fraction(k)) == hash(k): equal series hash equal in either form
         return hash(("LaurentSeries", self.offset, self.coeffs, self.trunc))
+
+    def _ints(self, size=None):
+        """(numerators, denominator): the stored coefficients (at least the
+        first `size`) over one denominator, or None unless they are ints and
+        Fractions."""
+        if self._d is not None:
+            return self._n, self._d
+        cs = self._n[:size]
+        if all(isinstance(c, (int, Fraction)) for c in cs):
+            return _over_common_denominator(cs)
+        return None
+
+    def _cut(self, trunc):
+        """self, exact through trunc (None: exactly), without the stored terms beyond it."""
+        if trunc is not None and self.offset + len(self._n) - 1 > trunc:
+            if self._d is None:
+                return LaurentSeries(self.offset, self._n, trunc)
+            return _int_series(self.offset, list(self._n), self._d, trunc)
+        return object.__new__(LaurentSeries)._set(self.offset, trunc, self._n, self._d)
 
     # -- arithmetic --------------------------------------------------------
     @staticmethod
@@ -826,25 +913,37 @@ class LaurentSeries:
         if o is None:
             return NotImplemented
         T = min(_as_order(self.trunc), _as_order(o.trunc))
-        if not self.coeffs:
-            return LaurentSeries(o.offset, o.coeffs, None if T == INFINITY else int(T))
-        if not o.coeffs:
-            return LaurentSeries(self.offset, self.coeffs, None if T == INFINITY else int(T))
+        if not self._n:
+            return o._cut(_order(T))
+        if not o._n:
+            return self._cut(_order(T))
         lo = min(self.offset, o.offset)
-        hi = max(self.offset + len(self.coeffs), o.offset + len(o.coeffs)) - 1
+        hi = max(self.offset + len(self._n), o.offset + len(o._n)) - 1
         if T != INFINITY:
             hi = min(hi, int(T))
+        if self._d is not None or o._d is not None:
+            a, b = self._ints(), o._ints()
+            if a is not None and b is not None:
+                d = math.lcm(a[1], b[1])
+                out = [0] * max(0, hi - lo + 1)
+                _spread(out, a[0], self.offset - lo, d // a[1])
+                _spread(out, b[0], o.offset - lo, d // b[1])
+                return _int_series(lo, out, d, _order(T))
+        sc, oc = self.coeffs, o.coeffs
         out = []
         for k in range(lo, hi + 1):
-            a = self.coeffs[k - self.offset] if 0 <= k - self.offset < len(self.coeffs) else 0
-            b = o.coeffs[k - o.offset] if 0 <= k - o.offset < len(o.coeffs) else 0
+            a = sc[k - self.offset] if 0 <= k - self.offset < len(sc) else 0
+            b = oc[k - o.offset] if 0 <= k - o.offset < len(oc) else 0
             out.append(a + b)
-        return LaurentSeries(lo, out, None if T == INFINITY else int(T))
+        return LaurentSeries(lo, out, _order(T))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.offset, tuple(-c for c in self.coeffs), self.trunc)
+        if self._d is None:
+            return LaurentSeries(self.offset, tuple(-c for c in self._n), self.trunc)
+        return object.__new__(LaurentSeries)._set(
+            self.offset, self.trunc, tuple(-c for c in self._n), self._d)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -862,30 +961,34 @@ class LaurentSeries:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
+        if not self._n or not o._n:
             # zero (so far as known) series: conservative truncation window
             T = min(_as_order(self.trunc), _as_order(o.trunc))
-            return LaurentSeries.zero(None if T == INFINITY else int(T))
+            return LaurentSeries.zero(_order(T))
         # product of a (exact through Ta) and b (exact through Tb) is exact
         # through min(Ta + b.offset, Tb + a.offset)
         T = min(_as_order(self.trunc) + o.offset, _as_order(o.trunc) + self.offset)
         lo = self.offset + o.offset
-        hi_stored = (self.offset + len(self.coeffs) - 1) + (o.offset + len(o.coeffs) - 1)
+        hi_stored = (self.offset + len(self._n) - 1) + (o.offset + len(o._n) - 1)
         hi = hi_stored if T == INFINITY else min(hi_stored, int(T))
-        out = _convolve(self.coeffs, o.coeffs, max(0, hi - lo + 1))
-        if out is None:
-            out = [Fraction(0)] * (hi - lo + 1)
-            for i, ca in enumerate(self.coeffs):
-                if not ca:
-                    continue
-                base = self.offset + i + o.offset - lo
-                for j, cb in enumerate(o.coeffs):
-                    k = base + j
-                    if k > hi - lo:
-                        break
-                    if cb:
-                        out[k] = out[k] + ca * cb
-        return LaurentSeries(lo, out, None if T == INFINITY else int(T))
+        size = max(0, hi - lo + 1)
+        a = self._ints(size)
+        b = None if a is None else o._ints(size)
+        if b is not None:
+            return _int_series(lo, _int_convolve(a[0], b[0], size), a[1] * b[1], _order(T))
+        sc, oc = self.coeffs, o.coeffs
+        out = [Fraction(0)] * size
+        for i, ca in enumerate(sc):
+            if not ca:
+                continue
+            base = self.offset + i + o.offset - lo
+            for j, cb in enumerate(oc):
+                k = base + j
+                if k > hi - lo:
+                    break
+                if cb:
+                    out[k] = out[k] + ca * cb
+        return LaurentSeries(lo, out, _order(T))
 
     __rmul__ = __mul__
 
@@ -915,26 +1018,34 @@ class LaurentSeries:
         min(Ta - mu, Tb - 2*mu + nu), capped at `through`.  An exact divisor
         with more than one term needs a finite order; an exact monomial
         divisor of an exact series gives an exact quotient.
+
+        An int-form self over an int or Fraction den divides in ints
+        (_int_quotient); any other self runs the loop on its coefficients,
+        one ring operation per term.
         """
         den = self._lift(den)
-        if not den.coeffs:
+        if not den._n:
             raise ZeroDivisionError("division by zero series")
         mu = den.offset
         Ta = _as_order(self.trunc)
         T = min(Ta - mu, _as_order(den.trunc) - 2 * mu + self.offset)
         if through is not None:
             T = min(T, through)
-        if T == INFINITY and len(den.coeffs) > 1:
+        if T == INFINITY and len(den._n) > 1:
             raise TruncationError("division by an exact series needs a target order")
         lo = self.offset - mu
-        if not self.coeffs or T < lo:
+        if not self._n or T < lo:
             # no coefficient to write: zero, truncated as self * (1/den) would be
             T = min(Ta, T, T - self.offset)
-            return LaurentSeries.zero(None if T == INFINITY else int(T))
-        a = self.coeffs
-        n = len(a) if T == INFINITY else int(T) - lo + 1
-        b0_inv = _ring_inverse(den.coeffs[0])
-        b = [(i, c) for i, c in enumerate(den.coeffs[1:n], 1) if c]
+            return LaurentSeries.zero(_order(T))
+        n = len(self._n) if T == INFINITY else int(T) - lo + 1
+        b = None if self._d is None else den._ints(n)
+        if b is not None:
+            q, d = _int_quotient(self._n, self._d, b[0], b[1], n)
+            return _int_series(lo, q, d, _order(T))
+        a, bs = self.coeffs, den.coeffs
+        b0_inv = _ring_inverse(bs[0])
+        b = [(i, c) for i, c in enumerate(bs[1:n], 1) if c]
         q = []
         for k in range(n):
             acc = a[k] if k < len(a) else 0
@@ -944,7 +1055,7 @@ class LaurentSeries:
                 if q[k - i]:
                     acc = acc - c * q[k - i]
             q.append(acc * b0_inv)
-        return LaurentSeries(lo, q, None if T == INFINITY else int(T))
+        return LaurentSeries(lo, q, _order(T))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -963,36 +1074,38 @@ class LaurentSeries:
         """self(inner(z)) for inner with min_order >= 1, self with min_order >= 0."""
         if self.offset < 0:
             raise ValueError("composition needs an outer series with min_order >= 0")
-        if inner.coeffs and inner.offset < 1:
+        if inner._n and inner.offset < 1:
             raise ValueError("composition needs inner min_order >= 1 (zero constant term)")
         Ta = _as_order(self.trunc)
         Tb = _as_order(inner.trunc)
-        if not inner.coeffs:
+        if not inner._n:
             c0 = self.coefficient(0) if (self.trunc is None or self.trunc >= 0) else Fraction(0)
-            return LaurentSeries(0, (c0,), None if Tb == INFINITY else int(Tb))
+            return LaurentSeries(0, (c0,), _order(Tb))
         mu = inner.offset
         T = min(Tb, (Ta + 1) * mu - 1)
         # Horner from the top stored coefficient
-        top = self.offset + len(self.coeffs) - 1
-        acc = LaurentSeries.zero(None if T == INFINITY else int(T))
-        for k in range(top, -1, -1):
+        cs = self.coeffs
+        acc = LaurentSeries.zero(_order(T))
+        for k in range(self.offset + len(cs) - 1, -1, -1):
             acc = acc * inner
-            c = self.coeffs[k - self.offset] if k >= self.offset else None
+            c = cs[k - self.offset] if k >= self.offset else None
             if c is not None and c:
                 acc = acc + LaurentSeries(0, (c,))
             if T != INFINITY and acc.trunc is not None:
-                acc = LaurentSeries(acc.offset, acc.coeffs, min(int(T), acc.trunc))
+                acc = acc._cut(min(int(T), acc.trunc))
         if T == INFINITY:
             return acc
-        return LaurentSeries(acc.offset, acc.coeffs, int(T))
+        return acc._cut(int(T))
 
     def derivative(self) -> "LaurentSeries":
-        cs = [(self.offset + i) * c for i, c in enumerate(self.coeffs)]
         T = None if self.trunc is None else self.trunc - 1
-        return LaurentSeries(self.offset - 1, cs, T)
+        cs = [(self.offset + i) * c for i, c in enumerate(self._n)]
+        if self._d is None:
+            return LaurentSeries(self.offset - 1, cs, T)
+        return _int_series(self.offset - 1, cs, self._d, T)
 
     def to_text(self, letter: str = "z") -> str:
-        if not self.coeffs:
+        if not self._n:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -1014,10 +1127,82 @@ class LaurentSeries:
         return f"LaurentSeries({self.to_text()})"
 
 
+def _int_series(offset, n, d, trunc):
+    """The int-form series sum (n[i] / d) z^(offset+i) exact through trunc,
+    for a list of ints n and an int d != 0: zeros trimmed, the terms beyond
+    trunc dropped and the content divided out."""
+    start, stop = 0, len(n)
+    while start < stop and not n[start]:
+        start += 1
+    if trunc is not None:
+        stop = max(start, min(stop, trunc - offset + 1))
+    while stop > start and not n[stop - 1]:
+        stop -= 1
+    if start == stop:
+        return object.__new__(LaurentSeries)._set(0, trunc, (), 1)
+    n = n[start:stop]
+    g = math.gcd(d, *n)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n = [c // g for c in n]
+        d //= g
+    return object.__new__(LaurentSeries)._set(offset + start, trunc, tuple(n), d)
+
+
+def _spread(out, n, start, scale):
+    """Add scale * n[i] to out[start + i] for every i that falls inside out."""
+    room = len(out) - start
+    if room > 0:
+        for i, c in enumerate(n[:room], start):
+            out[i] += scale * c
+
+
+def _int_quotient(a, da, b, db, n):
+    """The first n coefficients of (a / da) / (b / db), for int coefficient
+    sequences a and b with b[0] != 0, as (numerators, denominator).
+
+    When b / b[0] has int coefficients the recurrence runs fraction-free:
+    r_k = a_k - sum_i (b_i / b_0) r_(k-i) in ints, with q_k = r_k * db / (da * b_0).
+    Otherwise each q_k = u_k / v_k is reduced as it is written, with one lcm
+    of the v it reads and one gcd, so that no power of b_0 (which holds the
+    divisor's common denominator) builds up; the v are brought to one
+    denominator at the end.
+    """
+    b0 = b[0]
+    terms = [(i, c) for i, c in enumerate(b[1:n], 1) if c]
+    if all(c % b0 == 0 for _, c in terms):
+        terms = [(i, c // b0) for i, c in terms]
+        r = []
+        for k in range(n):
+            acc = a[k] if k < len(a) else 0
+            for i, c in terms:
+                if i > k:
+                    break
+                acc -= c * r[k - i]
+            r.append(acc)
+        if db != 1:
+            r = [c * db for c in r]
+        return r, da * b0
+    u, v = [], []
+    for k in range(n):
+        live = [(c, u[k - i], v[k - i]) for i, c in terms if i <= k and u[k - i]]
+        m = math.lcm(*(vj for _, _, vj in live))
+        x = ((a[k] if k < len(a) else 0) * db * m
+             - da * sum(c * uj * (m // vj) for c, uj, vj in live))
+        y = da * m * b0
+        g = math.gcd(x, y)
+        if y < 0:
+            g = -g
+        u.append(x // g)
+        v.append(y // g)
+    d = math.lcm(*v)
+    return [x * (d // y) for x, y in zip(u, v)], d
+
+
 def _ring_inverse(c):
     if isinstance(c, (int, Fraction)):
         return 1 / Fraction(c)
     if isinstance(c, RationalFunction):
         return RationalFunction(1) / c
     raise TypeError(f"no inverse for coefficient {c!r}")
-

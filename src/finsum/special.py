@@ -19,7 +19,6 @@ __all__ = [
     "bernoulli",
     "bernoulli_polynomial",
     "euler_polynomial",
-    "euler_number",
     "stirling_first",
     "stirling_second",
     "daehee",
@@ -326,14 +325,6 @@ def euler_polynomial(m: int, order: int = 1) -> Polynomial:
     base = LaurentSeries.monomial(2, 0) / (LaurentSeries.exponential(T)
                                            + LaurentSeries.one())
     return _appell(base ** order, m)
-
-
-@lru_cache(maxsize=None)
-def euler_number(n: int) -> Fraction:
-    """Integer Euler number E_n = 2^n E_n(1/2)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return euler_polynomial(n)(Fraction(1, 2)) * 2 ** n
 
 
 # ---------------------------------------------------------------------------

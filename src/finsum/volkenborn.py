@@ -42,7 +42,6 @@ __all__ = [
     "volkenborn_sample",
     "sample_row",
     "convergence_report",
-    "binom_moment",
     "binom_moment_bernoulli",
     "daehee_limit",
     "mahler_route_value",
@@ -219,15 +218,9 @@ def convergence_report(
 # moment identities and the Mahler-style route
 # ---------------------------------------------------------------------------
 
-def binom_moment(n: int) -> Fraction:
-    """Volkenborn integral of ``C(x, n)``: ``(-1)^n/(n+1)``."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return Fraction((-1) ** n, n + 1)
-
-
 def binom_moment_bernoulli(n: int) -> Fraction:
-    """Same moment through the Stirling/Bernoulli route.
+    """Volkenborn integral of ``C(x, n)``, ``(-1)^n/(n+1)``, through the
+    Stirling/Bernoulli route.
 
     ``C(x, n) = (1/n!) sum_j S1(n, j) x^j`` integrates termwise to
     ``(1/n!) sum_j S1(n, j) B_j``.

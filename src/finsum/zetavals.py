@@ -47,8 +47,6 @@ __all__ = [
     "geometric_moment",
     "weighted_number_sum",
     "exp_parameter_series",
-    "polynomial_at_series",
-    "rational_at_series",
     "eta_coefficient_sum",
     "eta_multinomial_sum",
     "hurwitz_coefficient_sum",
@@ -242,28 +240,6 @@ def exp_parameter_series(n: int, sign: int, scale: int, T: int) -> LaurentSeries
         growth = LaurentSeries.exponential(W, Fraction((j + 1) * scale))
         total = total + growth * power * Fraction(sign ** (j + 1) * (-1) ** n, j + 1)
     return total
-
-
-def polynomial_at_series(poly, series: LaurentSeries) -> LaurentSeries:
-    """Evaluate a polynomial at a Laurent series via Horner's scheme."""
-    total = LaurentSeries.zero(series.trunc)
-    for c in reversed(poly.coeffs):
-        total = total * series + c
-    return total
-
-
-def rational_at_series(
-    rf: RationalFunction, series: LaurentSeries, through=None
-) -> LaurentSeries:
-    """Evaluate a rational function at a Laurent series.
-
-    Numerator and denominator are expanded separately and divided, so a
-    zero of the denominator at the expansion point correctly produces a
-    pole.  ``through`` caps the order of the result.
-    """
-    num = polynomial_at_series(rf.num, series)
-    den = polynomial_at_series(rf.den, series)
-    return num.divide(den, through=through)
 
 
 # ---------------------------------------------------------------------------

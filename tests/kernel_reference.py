@@ -6,13 +6,29 @@ every result through one Fraction-based constructor.  ``horner_reference``
 is the plain Horner loop of ``Polynomial.__call__``, one scalar operation per
 coefficient.  The kernel under test must match both value for value, type
 for type, and exception for exception.
+
+``LaurentSeriesReference`` is the LaurentSeries that stored its coefficients
+as given and built a reduced Fraction for every coefficient of every result.
+The kernel under test must match it in offset, truncation order, coefficient
+values, text and exception type; its int-form results hold Fractions where
+the reference may hold an equal int, so types are not compared.
 """
 
 import operator
 from fractions import Fraction
 from itertools import accumulate
 
-from finsum.exact import Polynomial, poly_gcd
+from finsum.exact import (
+    INFINITY,
+    Polynomial,
+    RationalFunction,
+    TruncationError,
+    _as_order,
+    _convolve,
+    _ring_inverse,
+    format_rational,
+    poly_gcd,
+)
 
 
 def horner_reference(p, x):
@@ -189,3 +205,321 @@ class RationalFunctionReference:
 
     def __repr__(self):
         return f"RationalFunction({self.to_text()})"
+
+
+class LaurentSeriesReference:
+    """Series sum(coeffs[i] * z^(offset+i)); exact through order `trunc`.
+
+    trunc = None means the series is exactly the stored finite sum (a Laurent
+    polynomial).  Every operation computes the tightest truncation order its
+    inputs support; coefficient() raises TruncationError past that order.
+    """
+
+    __slots__ = ("offset", "coeffs", "trunc")
+
+    def __init__(self, offset: int, coeffs, trunc=None):
+        cs = list(coeffs)
+        # normalize: drop leading zeros (bumping offset), drop tail beyond trunc
+        while cs and not cs[0]:
+            cs.pop(0)
+            offset += 1
+        if trunc is not None:
+            cs = cs[: max(0, trunc - offset + 1)]
+        while cs and not cs[-1]:
+            cs.pop()
+        if not cs:
+            offset = 0
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "trunc", trunc)
+
+    def __setattr__(self, *a):
+        raise AttributeError("LaurentSeriesReference is immutable")
+
+    # -- constructors -----------------------------------------------------
+    @classmethod
+    def zero(cls, trunc=None):
+        return cls(0, (), trunc)
+
+    @classmethod
+    def one(cls):
+        return cls(0, (Fraction(1),))
+
+    @classmethod
+    def monomial(cls, c, k: int = 1):
+        return cls(k, (c,))
+
+    @classmethod
+    def from_polynomial(cls, p: Polynomial):
+        return cls(0, p.coeffs)
+
+    @classmethod
+    def geometric(cls, T: int):
+        """1 + z + z^2 + ... through order T."""
+        return cls(0, (Fraction(1),) * (T + 1), T)
+
+    @classmethod
+    def exponential(cls, T: int, scale=Fraction(1)):
+        """exp(scale * z) through order T."""
+        cs = []
+        c = Fraction(1)
+        for k in range(T + 1):
+            cs.append(c)
+            c = c * scale / (k + 1)
+        return cls(0, cs, T)
+
+    @classmethod
+    def mercator(cls, T: int, scale=Fraction(1)):
+        """ln(1 + scale*z) = sum_{j>=1} (-1)^(j+1) (scale*z)^j / j through T."""
+        cs = [Fraction(0)]
+        p = Fraction(1)
+        for j in range(1, T + 1):
+            p = p * scale
+            cs.append(p * Fraction((-1) ** (j + 1), j))
+        return cls(0, cs, T)
+
+    # -- structure --------------------------------------------------------
+    @property
+    def min_order(self) -> int:
+        return self.offset
+
+    @property
+    def top_known(self):
+        """Largest order whose coefficient may be reported."""
+        return _as_order(self.trunc)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def coefficient(self, k: int):
+        if self.trunc is not None and k > self.trunc:
+            raise TruncationError(f"order {k} beyond truncation {self.trunc}")
+        i = k - self.offset
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return Fraction(0)
+
+    def coefficients(self, lo: int, hi: int):
+        return [self.coefficient(k) for k in range(lo, hi + 1)]
+
+    def agrees_with(self, other: "LaurentSeriesReference", through=None) -> bool:
+        """Coefficient-wise equality through min of the reliable windows."""
+        hi = min(self.top_known, other.top_known)
+        if through is not None:
+            hi = min(hi, through)
+        if hi == INFINITY:
+            return self.offset == other.offset and self.coeffs == other.coeffs
+        lo = min(self.offset, other.offset)
+        hi = int(hi)
+        return all(self.coefficient(k) == other.coefficient(k) for k in range(lo, hi + 1))
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentSeriesReference):
+            return NotImplemented
+        return (self.offset, self.coeffs, self.trunc) == (other.offset, other.coeffs, other.trunc)
+
+    def __hash__(self):
+        return hash(("LaurentSeriesReference", self.offset, self.coeffs, self.trunc))
+
+    # -- arithmetic --------------------------------------------------------
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, LaurentSeriesReference):
+            return other
+        if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
+            if isinstance(other, Polynomial):
+                return LaurentSeriesReference.from_polynomial(other)
+            return LaurentSeriesReference(0, (other,))
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        T = min(_as_order(self.trunc), _as_order(o.trunc))
+        if not self.coeffs:
+            return LaurentSeriesReference(o.offset, o.coeffs, None if T == INFINITY else int(T))
+        if not o.coeffs:
+            return LaurentSeriesReference(self.offset, self.coeffs, None if T == INFINITY else int(T))
+        lo = min(self.offset, o.offset)
+        hi = max(self.offset + len(self.coeffs), o.offset + len(o.coeffs)) - 1
+        if T != INFINITY:
+            hi = min(hi, int(T))
+        out = []
+        for k in range(lo, hi + 1):
+            a = self.coeffs[k - self.offset] if 0 <= k - self.offset < len(self.coeffs) else 0
+            b = o.coeffs[k - o.offset] if 0 <= k - o.offset < len(o.coeffs) else 0
+            out.append(a + b)
+        return LaurentSeriesReference(lo, out, None if T == INFINITY else int(T))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LaurentSeriesReference(self.offset, tuple(-c for c in self.coeffs), self.trunc)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        if not self.coeffs or not o.coeffs:
+            # zero (so far as known) series: conservative truncation window
+            T = min(_as_order(self.trunc), _as_order(o.trunc))
+            return LaurentSeriesReference.zero(None if T == INFINITY else int(T))
+        # product of a (exact through Ta) and b (exact through Tb) is exact
+        # through min(Ta + b.offset, Tb + a.offset)
+        T = min(_as_order(self.trunc) + o.offset, _as_order(o.trunc) + self.offset)
+        lo = self.offset + o.offset
+        hi_stored = (self.offset + len(self.coeffs) - 1) + (o.offset + len(o.coeffs) - 1)
+        hi = hi_stored if T == INFINITY else min(hi_stored, int(T))
+        out = _convolve(self.coeffs, o.coeffs, max(0, hi - lo + 1))
+        if out is None:
+            out = [Fraction(0)] * (hi - lo + 1)
+            for i, ca in enumerate(self.coeffs):
+                if not ca:
+                    continue
+                base = self.offset + i + o.offset - lo
+                for j, cb in enumerate(o.coeffs):
+                    k = base + j
+                    if k > hi - lo:
+                        break
+                    if cb:
+                        out[k] = out[k] + ca * cb
+        return LaurentSeriesReference(lo, out, None if T == INFINITY else int(T))
+
+    __rmul__ = __mul__
+
+    def inverse(self, through=None) -> "LaurentSeriesReference":
+        """Multiplicative inverse, 1 / self (see divide for the orders)."""
+        return LaurentSeriesReference.one().divide(self, through)
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.divide(o)
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o.divide(self)
+
+    def divide(self, den, through=None) -> "LaurentSeriesReference":
+        """self / den by long division.
+
+        With self = z^nu * (a_0 + a_1 z + ...), exact through Ta, and
+        den = z^mu * (b_0 + b_1 z + ...), exact through Tb, the quotient is
+        z^(nu-mu) * (q_0 + q_1 z + ...) with
+        q_k = (a_k - sum_{1<=i<len(b)} b_i q_(k-i)) / b_0, exact through
+        min(Ta - mu, Tb - 2*mu + nu), capped at `through`.  An exact divisor
+        with more than one term needs a finite order; an exact monomial
+        divisor of an exact series gives an exact quotient.
+        """
+        den = self._lift(den)
+        if not den.coeffs:
+            raise ZeroDivisionError("division by zero series")
+        mu = den.offset
+        Ta = _as_order(self.trunc)
+        T = min(Ta - mu, _as_order(den.trunc) - 2 * mu + self.offset)
+        if through is not None:
+            T = min(T, through)
+        if T == INFINITY and len(den.coeffs) > 1:
+            raise TruncationError("division by an exact series needs a target order")
+        lo = self.offset - mu
+        if not self.coeffs or T < lo:
+            # no coefficient to write: zero, truncated as self * (1/den) would be
+            T = min(Ta, T, T - self.offset)
+            return LaurentSeriesReference.zero(None if T == INFINITY else int(T))
+        a = self.coeffs
+        n = len(a) if T == INFINITY else int(T) - lo + 1
+        b0_inv = _ring_inverse(den.coeffs[0])
+        b = [(i, c) for i, c in enumerate(den.coeffs[1:n], 1) if c]
+        q = []
+        for k in range(n):
+            acc = a[k] if k < len(a) else 0
+            for i, c in b:
+                if i > k:
+                    break
+                if q[k - i]:
+                    acc = acc - c * q[k - i]
+            q.append(acc * b0_inv)
+        return LaurentSeriesReference(lo, q, None if T == INFINITY else int(T))
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = LaurentSeriesReference.one()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    def compose(self, inner: "LaurentSeriesReference") -> "LaurentSeriesReference":
+        """self(inner(z)) for inner with min_order >= 1, self with min_order >= 0."""
+        if self.offset < 0:
+            raise ValueError("composition needs an outer series with min_order >= 0")
+        if inner.coeffs and inner.offset < 1:
+            raise ValueError("composition needs inner min_order >= 1 (zero constant term)")
+        Ta = _as_order(self.trunc)
+        Tb = _as_order(inner.trunc)
+        if not inner.coeffs:
+            c0 = self.coefficient(0) if (self.trunc is None or self.trunc >= 0) else Fraction(0)
+            return LaurentSeriesReference(0, (c0,), None if Tb == INFINITY else int(Tb))
+        mu = inner.offset
+        T = min(Tb, (Ta + 1) * mu - 1)
+        # Horner from the top stored coefficient
+        top = self.offset + len(self.coeffs) - 1
+        acc = LaurentSeriesReference.zero(None if T == INFINITY else int(T))
+        for k in range(top, -1, -1):
+            acc = acc * inner
+            c = self.coeffs[k - self.offset] if k >= self.offset else None
+            if c is not None and c:
+                acc = acc + LaurentSeriesReference(0, (c,))
+            if T != INFINITY and acc.trunc is not None:
+                acc = LaurentSeriesReference(acc.offset, acc.coeffs, min(int(T), acc.trunc))
+        if T == INFINITY:
+            return acc
+        return LaurentSeriesReference(acc.offset, acc.coeffs, int(T))
+
+    def derivative(self) -> "LaurentSeriesReference":
+        cs = [(self.offset + i) * c for i, c in enumerate(self.coeffs)]
+        T = None if self.trunc is None else self.trunc - 1
+        return LaurentSeriesReference(self.offset - 1, cs, T)
+
+    def to_text(self, letter: str = "z") -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            k = self.offset + i
+            cs = format_rational(c) if isinstance(c, (int, Fraction)) else f"({c.to_text()})"
+            if k == 0:
+                parts.append(cs)
+            else:
+                var = letter if k == 1 else f"{letter}^{k}"
+                parts.append(f"{cs}*{var}")
+        body = " + ".join(parts)
+        if self.trunc is not None:
+            body += f" + O({letter}^{self.trunc + 1})"
+        return body
+
+    def __repr__(self):
+        return f"LaurentSeriesReference({self.to_text()})"

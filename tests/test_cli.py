@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -126,6 +127,33 @@ def test_series_coefficients_round_trip(capsys):
         parse_rational(value)  # must re-parse exactly
     # [z^0] G = (1-q)^2 S(0,q): at q = 1/2 that is (1/2)^2 * (-4) = -1
     assert parse_rational(lines[0].split("\t")[1]) == -1
+
+
+# Every series operation of the numeric benchmark workload, whose outputs
+# its reference digests pin: at each order the three fixed series, then G and
+# 2f1 with each parameter.  The SHA-256 is of the concatenated --format json
+# outputs in that order.
+SERIES_ORDERS = (25, 50, 100, 150, 200, 250)
+SERIES_LAMBDAS = ("2", "3", "1/2", "1/3", "3/2", "5/3", "7/4", "9/5",
+                  "-1", "-2", "-1/2", "-3/2", "-5/3", "-7/4", "13/5", "-11/7")
+SERIES_OUTPUTS_SHA256 = "40eac963be3d299b85cce0bc2efd7290ddd027dc5e033f1b045b3bb309947578"
+
+
+def test_series_outputs_are_pinned(capsys):
+    digest = hashlib.sha256()
+    count = 0
+    for order in SERIES_ORDERS:
+        ops = [["--which", which] for which in ("g1", "g2", "g3")]
+        ops += [["--which", which, f"--lambda={lam}"]
+                for which in ("G", "2f1") for lam in SERIES_LAMBDAS]
+        for op in ops:
+            code, out, _ = run_cli(capsys, ["series", "--order", str(order), *op,
+                                            "--format", "json"])
+            assert code == 0
+            digest.update(out.encode())
+            count += 1
+    assert count == 210
+    assert digest.hexdigest() == SERIES_OUTPUTS_SHA256
 
 
 def test_fixed_series_reject_parameter(capsys):

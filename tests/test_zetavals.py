@@ -13,7 +13,6 @@ from finsum.special import (
     apostol_bernoulli,
     apostol_bernoulli_value,
     bernoulli_polynomial,
-    euler_number,
     euler_polynomial,
     stirling_second,
 )
@@ -42,10 +41,9 @@ from finsum.zetavals import (
     printed_closing_rhs,
     printed_even_bernoulli,
     printed_even_convolution,
-    polynomial_at_series,
-    rational_at_series,
     weighted_number_sum,
 )
+from test_special import euler_number
 
 HALF = Fraction(1, 2)
 
@@ -258,6 +256,28 @@ def test_exp_parameter_series_validation():
         exp_parameter_series(0, 1, 5, 4)
     with pytest.raises(ValueError):
         exp_parameter_series(-2, 1, 1, 4)
+
+
+def polynomial_at_series(poly, series: LaurentSeries) -> LaurentSeries:
+    """Evaluate a polynomial at a Laurent series via Horner's scheme."""
+    total = LaurentSeries.zero(series.trunc)
+    for c in reversed(poly.coeffs):
+        total = total * series + c
+    return total
+
+
+def rational_at_series(
+    rf: RationalFunction, series: LaurentSeries, through=None
+) -> LaurentSeries:
+    """Evaluate a rational function at a Laurent series.
+
+    Numerator and denominator are expanded separately and divided, so a
+    zero of the denominator at the expansion point correctly produces a
+    pole.  ``through`` caps the order of the result.
+    """
+    num = polynomial_at_series(rf.num, series)
+    den = polynomial_at_series(rf.den, series)
+    return num.divide(den, through=through)
 
 
 def test_exp_parameter_series_agrees_with_rational_substitution():
