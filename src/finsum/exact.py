@@ -42,12 +42,13 @@ family) and floats take the term-by-term loops.
 
 A quotient is computed by long division (LaurentSeries.divide), each
 coefficient from the earlier ones; the inverse is 1 divided by the series.
-An int-form dividend over an int or Fraction divisor is divided in ints.
-When the divisor over its constant term b_0 has int coefficients (as
-z - 1 and z^2 - z do) the recurrence runs fraction-free and the result is
-reduced once; otherwise each quotient coefficient is reduced as it is
-written, with one lcm and one gcd, because b_0 holds the divisor's common
-denominator and its powers must not pile up.
+An int-form dividend over an int or Fraction divisor is divided in ints,
+each quotient coefficient reduced as it is written with one lcm and one gcd,
+because b_0 holds the divisor's common denominator and its powers must not
+pile up; the exponential-series quotients of the Bernoulli and Euler
+polynomials and of the exponential-parameter expansions divide this way.
+Any other dividend (the mercator numerators of the generating series over
+z^2 - z among them) takes the loop on its coefficients.
 
 Polynomial products use the same integer convolution (_convolve), which
 builds a Fraction for each product coefficient.
@@ -1162,28 +1163,13 @@ def _int_quotient(a, da, b, db, n):
     """The first n coefficients of (a / da) / (b / db), for int coefficient
     sequences a and b with b[0] != 0, as (numerators, denominator).
 
-    When b / b[0] has int coefficients the recurrence runs fraction-free:
-    r_k = a_k - sum_i (b_i / b_0) r_(k-i) in ints, with q_k = r_k * db / (da * b_0).
-    Otherwise each q_k = u_k / v_k is reduced as it is written, with one lcm
-    of the v it reads and one gcd, so that no power of b_0 (which holds the
-    divisor's common denominator) builds up; the v are brought to one
-    denominator at the end.
+    Each q_k = u_k / v_k is reduced as it is written, with one lcm of the v
+    it reads and one gcd, so that no power of b_0 (which holds the divisor's
+    common denominator) builds up; the v are brought to one denominator at
+    the end.
     """
     b0 = b[0]
     terms = [(i, c) for i, c in enumerate(b[1:n], 1) if c]
-    if all(c % b0 == 0 for _, c in terms):
-        terms = [(i, c // b0) for i, c in terms]
-        r = []
-        for k in range(n):
-            acc = a[k] if k < len(a) else 0
-            for i, c in terms:
-                if i > k:
-                    break
-                acc -= c * r[k - i]
-            r.append(acc)
-        if db != 1:
-            r = [c * db for c in r]
-        return r, da * b0
     u, v = [], []
     for k in range(n):
         live = [(c, u[k - i], v[k - i]) for i, c in terms if i <= k and u[k - i]]

@@ -12,8 +12,12 @@ as given and built a reduced Fraction for every coefficient of every result.
 The kernel under test must match it in offset, truncation order, coefficient
 values, text and exception type; its int-form results hold Fractions where
 the reference may hold an equal int, so types are not compared.
+
+``euler_number`` is the integer Euler number from the Euler polynomial, a
+reference value shared by the special-function and zeta-value tests.
 """
 
+import functools
 import operator
 from fractions import Fraction
 from itertools import accumulate
@@ -29,6 +33,7 @@ from finsum.exact import (
     format_rational,
     poly_gcd,
 )
+from finsum.special import euler_polynomial
 
 
 def horner_reference(p, x):
@@ -523,3 +528,11 @@ class LaurentSeriesReference:
 
     def __repr__(self):
         return f"LaurentSeriesReference({self.to_text()})"
+
+
+@functools.lru_cache(maxsize=None)
+def euler_number(n: int) -> Fraction:
+    """Integer Euler number E_n = 2^n E_n(1/2)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return euler_polynomial(n)(Fraction(1, 2)) * 2 ** n

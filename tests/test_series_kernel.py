@@ -86,7 +86,8 @@ def check(compute, reference):
 @example(both(-3, (1, -1), 5), both(0, (), 3), F(-2, 3), 2, 3)
 # `through` below the quotient's first order
 @example(both(2, (1, 1)), both(0, (1, 1), 5), 2, 0, 1)
-# fraction-free and reduced-per-coefficient division, each with a remainder
+# int-form division by a divisor whose terms are (and are not) multiples of
+# its constant term, each with a remainder
 @example(both(0, (F(1, 2), 3, F(-1, 3)), 8), both(1, (-2, 4, 6)), 3, 6, -2)
 @example(both(0, (F(1, 2), 3, F(-1, 3)), 8), both(-1, (3, F(1, 2), 1)), 3, 6, -2)
 def test_arithmetic_matches_reference(first, second, c, through, k):

@@ -1,6 +1,5 @@
 """Checks for the classical number families and their independent routes."""
 
-import functools
 import inspect
 import math
 import sys
@@ -31,6 +30,7 @@ from finsum.special import (
     stirling_first,
     stirling_second,
 )
+from kernel_reference import euler_number
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +292,6 @@ def test_higher_order_polynomials_match_the_series_construction():
                 assert hash(got) == hash(expected)
                 assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
                 assert all(type(c) is F for c in got.coeffs)
-
-
-@functools.lru_cache(maxsize=None)
-def euler_number(n: int) -> F:
-    """Integer Euler number E_n = 2^n E_n(1/2)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return euler_polynomial(n)(F(1, 2)) * 2 ** n
 
 
 def test_euler_numbers():

@@ -43,7 +43,7 @@ from finsum.zetavals import (
     printed_even_convolution,
     weighted_number_sum,
 )
-from test_special import euler_number
+from kernel_reference import euler_number
 
 HALF = Fraction(1, 2)
 
