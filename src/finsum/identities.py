@@ -90,6 +90,7 @@ from .special import (
     stirling_second,
 )
 from .volkenborn import (
+    binom_moment_bernoulli,
     convergence_report,
     daehee_limit,
     integral_limit,
@@ -1639,7 +1640,7 @@ def _check_volkenborn_power_limits(bound):
             sweep.eq(
                 {"p": p, "index": j, "route": "limit"},
                 integral_limit("power", j),
-                bernoulli(j),
+                bernoulli_polynomial(j)(Fraction(0)),
             )
     return sweep.result()
 
@@ -1650,8 +1651,8 @@ def _check_volkenborn_falling_binom_limits(bound):
     for p, max_level in _POWER_LEVELS:
         for j in range(jtop + 1):
             for integrand, expected in (
-                ("falling", daehee(j)),
-                ("binom", Fraction((-1) ** j, j + 1)),
+                ("falling", daehee_limit(j)),
+                ("binom", binom_moment_bernoulli(j)),
             ):
                 sweep.eq(
                     {"p": p, "integrand": integrand, "index": j, "route": "limit"},

@@ -36,7 +36,6 @@ from .special import bernoulli, daehee, stirling_first
 __all__ = [
     "BUDGETS",
     "VolkenbornSample",
-    "integrand_value",
     "integral_limit",
     "riemann_sum",
     "volkenborn_sample",
@@ -86,20 +85,6 @@ def _validate(p: int, level: int, integrand: str, index: int):
         raise ValueError(f"integrand must be one of {_INTEGRANDS}, got {integrand!r}")
     if index < 0:
         raise ValueError("index must be nonnegative")
-
-
-def integrand_value(integrand: str, index: int, x: int) -> int:
-    """Integer value of ``x^j``, ``(x)_n`` or ``C(x, n)`` at integer x."""
-    if integrand == "power":
-        return x ** index
-    if integrand == "falling":
-        value = 1
-        for i in range(index):
-            value *= x - i
-        return value
-    if integrand == "binom":
-        return comb(x, index)
-    raise ValueError(f"integrand must be one of {_INTEGRANDS}, got {integrand!r}")
 
 
 def integral_limit(integrand: str, index: int) -> Fraction:

@@ -15,9 +15,16 @@ the reference may hold an equal int, so types are not compared.
 
 ``euler_number`` is the integer Euler number from the Euler polynomial, a
 reference value shared by the special-function and zeta-value tests.
+
+``gcd_reference`` reduces a quotient through ``poly_gcd`` to the canonical
+form the RationalFunction constructor must produce, and
+``assert_same_ratfun`` compares a RationalFunction with a reference one
+coefficient type by coefficient type; the kernel and log-sum tests share
+them.
 """
 
 import functools
+import math
 import operator
 from fractions import Fraction
 from itertools import accumulate
@@ -536,3 +543,55 @@ def euler_number(n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     return euler_polynomial(n)(Fraction(1, 2)) * 2 ** n
+
+
+# ---------------------------------------------------------------------------
+# canonical form of a RationalFunction, through poly_gcd
+# ---------------------------------------------------------------------------
+
+def content_reference(p):
+    """Positive gcd of the numerators over the lcm of the denominators."""
+    num_gcd = 0
+    den_lcm = 1
+    for c in p.coeffs:
+        c = Fraction(c)
+        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+        den_lcm = math.lcm(den_lcm, c.denominator)
+    return Fraction(num_gcd, den_lcm)
+
+
+def primitive_reference(p):
+    g = content_reference(p)
+    return Polynomial(tuple(Fraction(c) / g for c in p.coeffs))
+
+
+def gcd_reference(num: Polynomial, den: Polynomial):
+    """(num, den) of num/den reduced through poly_gcd for every pair, then
+    scaled to the canonical form: the reference for RationalFunction's
+    constructor, which cancels the poles 0, 1 and -1 in integers and reaches
+    poly_gcd only for other factors."""
+    if not num:
+        return Polynomial(), Polynomial.constant(Fraction(1))
+    g = poly_gcd(num, den)
+    if g.degree > 0:
+        num = num // g
+        den = den // g
+    scale = content_reference(num) / content_reference(den)
+    num = Polynomial(tuple(c * scale.numerator for c in primitive_reference(num).coeffs))
+    den = Polynomial(tuple(c * scale.denominator for c in primitive_reference(den).coeffs))
+    if Fraction(den.leading) < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def typed_coeffs(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+def assert_same_ratfun(got, want):
+    """got, a RationalFunction, holds the canonical form of want, a
+    RationalFunctionReference: typed coefficients, ==, hash and repr."""
+    assert typed_coeffs(got.num) == typed_coeffs(want.num)
+    assert typed_coeffs(got.den) == typed_coeffs(want.den)
+    assert got == RationalFunction(want.num, want.den)
+    assert hash(got) == hash(want) and repr(got) == repr(want)

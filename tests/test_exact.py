@@ -1,6 +1,5 @@
 """Kernel tests: rationals, polynomials, rational functions, Laurent series."""
 
-import math
 import operator
 import time
 from fractions import Fraction
@@ -24,7 +23,15 @@ from finsum.exact import (
 )
 from finsum.genfun import log_gf
 from finsum.logsum import logsum_value
-from kernel_reference import RationalFunctionReference, horner_reference
+from kernel_reference import (
+    RationalFunctionReference,
+    assert_same_ratfun,
+    content_reference,
+    gcd_reference,
+    horner_reference,
+    primitive_reference,
+    typed_coeffs,
+)
 
 F = Fraction
 
@@ -166,53 +173,6 @@ def test_ratfun_evaluation():
         f(F(1))
 
 
-def _content_reference(p):
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.coeffs:
-        c = F(c)
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = math.lcm(den_lcm, c.denominator)
-    return F(num_gcd, den_lcm)
-
-
-def _primitive_reference(p):
-    g = _content_reference(p)
-    return Polynomial(tuple(F(c) / g for c in p.coeffs))
-
-
-def gcd_reference(num: Polynomial, den: Polynomial):
-    """(num, den) of num/den reduced through poly_gcd for every pair, then
-    scaled to the canonical form: the reference for RationalFunction's
-    constructor, which cancels the poles 0, 1 and -1 in integers and reaches
-    poly_gcd only for other factors."""
-    if not num:
-        return Polynomial(), Polynomial.constant(F(1))
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num = num // g
-        den = den // g
-    scale = _content_reference(num) / _content_reference(den)
-    num = Polynomial(tuple(c * scale.numerator for c in _primitive_reference(num).coeffs))
-    den = Polynomial(tuple(c * scale.denominator for c in _primitive_reference(den).coeffs))
-    if F(den.leading) < 0:
-        num, den = -num, -den
-    return num, den
-
-
-def assert_same_ratfun(got, want):
-    """got, a RationalFunction, holds the canonical form of want, a
-    RationalFunctionReference: typed coefficients, ==, hash and repr."""
-    assert typed_coeffs(got.num) == typed_coeffs(want.num)
-    assert typed_coeffs(got.den) == typed_coeffs(want.den)
-    assert got == RationalFunction(want.num, want.den)
-    assert hash(got) == hash(want) and repr(got) == repr(want)
-
-
-def typed_coeffs(p):
-    return [(type(c), c) for c in p.coeffs]
-
-
 POLE_FACTORS = (poly(0, 1), poly(-1, 1), poly(1, 1))   # L, L - 1, L + 1
 
 pole_powers = st.tuples(*[st.integers(min_value=0, max_value=6)] * 3)
@@ -246,9 +206,9 @@ def test_ratfun_constructor_matches_gcd_reference(a, pa, sa, b, pb, sb, common, 
 @given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=50), max_size=8))
 def test_content_and_primitive_match_reference(cs):
     p = Polynomial(tuple(cs))
-    assert p.content() == _content_reference(p)
+    assert p.content() == content_reference(p)
     if p:
-        assert typed_coeffs(p.primitive()) == typed_coeffs(_primitive_reference(p))
+        assert typed_coeffs(p.primitive()) == typed_coeffs(primitive_reference(p))
 
 
 rational_functions = st.builds(

@@ -3,10 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
-from finsum import identities
+from finsum import identities, special
 from finsum.cli import main
 from finsum.identities import (
     FAMILIES,
@@ -118,6 +119,40 @@ def test_record_that_raises_is_isolated(monkeypatch, capsys):
     assert json.loads(out)["unexpected"] == [record.id]
     assert "pole at 1" in err
     assert main(["verify", "--id", "table-rows", "--max-n", "1"]) == 0
+
+
+def _clear_finsum_caches():
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "finsum":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_volkenborn_power_limit_catches_a_wrong_bernoulli_number():
+    # B_2 off by one in every finsum namespace: integral_limit("power", 2)
+    # then returns the wrong value, and the record must catch it against
+    # the Bernoulli polynomial's constant term, not against bernoulli itself
+    original = special.bernoulli
+
+    def perturbed(n):
+        return original(n) + (n == 2)
+
+    holders = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "finsum" and getattr(module, "bernoulli", None) is original]
+    _clear_finsum_caches()
+    try:
+        for module in holders:
+            module.bernoulli = perturbed
+        entry = run_identity("volkenborn-power-limits")
+    finally:
+        for module in holders:
+            module.bernoulli = original
+        _clear_finsum_caches()
+    assert entry["passed"] is False
+    failed_limits = {cx["params"]["p"] for cx in entry["counterexamples"]
+                     if cx["params"].get("route") == "limit" and cx["params"]["index"] == "2"}
+    assert failed_limits == {"2", "3", "5"}
 
 
 def test_flagged_record_with_equal_sides_is_rejected():

@@ -24,8 +24,12 @@ from finsum.logsum import (
     table_entry,
 )
 
-from kernel_reference import RationalFunctionReference
-from test_exact import assert_same_ratfun, gcd_reference, typed_coeffs
+from kernel_reference import (
+    RationalFunctionReference,
+    assert_same_ratfun,
+    gcd_reference,
+    typed_coeffs,
+)
 
 # the package re-exports the function logsum, which shadows the module name
 logsum_module = importlib.import_module("finsum.logsum")

@@ -1,4 +1,9 @@
-"""Checks for the classical number families and their independent routes."""
+"""Checks for the classical number families against independent routes.
+
+Each family in ``finsum.special`` runs one route; the other routes live
+here as references (series, closed double sums, recurrences, integrals),
+each next to the test that compares the library function with it.
+"""
 
 import inspect
 import math
@@ -22,10 +27,8 @@ from finsum.special import (
     daehee,
     derangement,
     euler_polynomial,
-    falling_factorial,
     harmonic,
     harmonic_alternating,
-    integral_unit_interval,
     leibnitz,
     stirling_first,
     stirling_second,
@@ -44,9 +47,16 @@ def test_bernoulli_frozen_values():
     assert all(bernoulli(n) == 0 for n in range(3, 20, 2))
 
 
+def bernoulli_series_reference(n):
+    """B_n as n! [u^n] u/(e^u - 1)."""
+    den = LaurentSeries.exponential(n + 1) - LaurentSeries.one()
+    ratio = LaurentSeries.monomial(1, 1) / den
+    return ratio.coefficient(n) * math.factorial(n)
+
+
 def test_bernoulli_routes_agree():
     for n in range(21):
-        assert bernoulli(n, "recurrence") == bernoulli(n, "series")
+        assert bernoulli(n) == bernoulli_series_reference(n)
 
 
 def test_bernoulli_table_time_budget():
@@ -57,7 +67,7 @@ def test_bernoulli_table_time_budget():
     table = [bernoulli(n) for n in range(201)]
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"B_0..B_200 exceeded its 1s budget: {elapsed:.2f}s"
-    assert table[200] == bernoulli(200, "series")
+    assert table[200] == bernoulli_series_reference(200)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +85,12 @@ def test_stirling_first_frozen_values():
     assert stirling_first(3, -1) == 0
 
 
+def falling_factorial(n):
+    """x (x-1) ... (x-n+1) as a Polynomial with Fraction coefficients, read
+    off the signed Stirling row of the first kind."""
+    return Polynomial(tuple(F(stirling_first(n, k)) for k in range(n + 1)))
+
+
 def test_stirling_first_expands_falling_factorial():
     x = Polynomial.variable()
     product = Polynomial.constant(F(1))
@@ -86,10 +102,38 @@ def test_stirling_first_expands_falling_factorial():
         product = product * (x - d)
 
 
+def _binom(a, b):
+    """Binomial coefficient with the degenerate-index conventions the
+    closed double sum below relies on: C(a, b) = 0 for b < 0 except on the
+    diagonal (C(a, a) = 1), and the alternating value for negative a."""
+    if b < 0:
+        return 1 if a == b else 0
+    if a < 0:
+        return (-1) ** b * math.comb(b - a - 1, b)
+    return math.comb(a, b)
+
+
+def stirling_first_formula_reference(n, k):
+    """s(n, k) from the closed quadruple-binomial double sum, checked to be
+    an integer; 0**0 == 1 is load-bearing."""
+    total = F(0)
+    for c in range(n - k + 1):
+        inner = 0
+        for j in range(c + 1):
+            inner += (-1) ** j * math.comb(c, j) * j ** (n - k + c)
+        if inner:
+            total += F(
+                _binom(n + c - 1, k - 1) * _binom(2 * n - k, n - k - c) * inner,
+                math.factorial(c),
+            )
+    assert total.denominator == 1, (total, n, k)
+    return total.numerator
+
+
 def test_stirling_first_routes_agree():
     for n in range(11):
         for k in range(n + 1):
-            assert stirling_first(n, k, "formula") == stirling_first(n, k)
+            assert stirling_first_formula_reference(n, k) == stirling_first(n, k)
 
 
 @given(st.integers(0, 12), st.integers(0, 13))
@@ -106,10 +150,19 @@ def test_stirling_second_frozen_values():
     assert stirling_second(4, 0) == 0
 
 
+def stirling_second_formula_reference(n, k):
+    """S(n, k) = (1/k!) sum_c (-1)^(k-c) C(k, c) c^n, checked to be an
+    integer."""
+    acc = sum((-1) ** (k - c) * math.comb(k, c) * c ** n for c in range(k + 1))
+    q, r = divmod(acc, math.factorial(k))
+    assert r == 0, (n, k)
+    return q
+
+
 def test_stirling_second_routes_agree():
     for n in range(11):
         for k in range(n + 1):
-            assert stirling_second(n, k, "formula") == stirling_second(n, k)
+            assert stirling_second_formula_reference(n, k) == stirling_second(n, k)
 
 
 def test_stirling_pair_inverts_power_basis():
@@ -146,11 +199,22 @@ def test_daehee_frozen_values():
     assert daehee(5, "bernoulli_stirling") == -20
 
 
+def test_daehee_keeps_two_routes():
+    with pytest.raises(ValueError):
+        daehee(3, "series")
+
+
+def daehee_series_reference(n):
+    """D_n as n! [u^n] log(1+u)/u."""
+    ratio = LaurentSeries.mercator(n + 1) / LaurentSeries.monomial(1, 1)
+    return ratio.coefficient(n) * math.factorial(n)
+
+
 def test_daehee_routes_agree():
     for n in range(13):
         closed = daehee(n, "closed")
         assert daehee(n, "bernoulli_stirling") == closed
-        assert daehee(n, "series") == closed
+        assert daehee_series_reference(n) == closed
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +228,17 @@ def test_harmonic_frozen_values():
     assert harmonic_alternating(1) == -1
 
 
+def harmonic_series_reference(n, alternating=False):
+    """[u^n] log(1-u)/(u-1) = H_n, or with alternating [u^n] log(1+u)/(u-1)."""
+    num = LaurentSeries.mercator(n) if alternating else LaurentSeries.mercator(n, scale=F(-1))
+    den = LaurentSeries.from_polynomial(Polynomial((F(-1), F(1))))
+    return (num / den).coefficient(n)
+
+
 def test_harmonic_routes_agree():
     for n in range(16):
-        assert harmonic(n, "series") == harmonic(n)
-        assert harmonic_alternating(n, "series") == harmonic_alternating(n)
+        assert harmonic_series_reference(n) == harmonic(n)
+        assert harmonic_series_reference(n, alternating=True) == harmonic_alternating(n)
 
 
 @given(st.integers(1, 40))
@@ -183,11 +254,27 @@ def test_derangement_frozen_values():
     assert [derangement(n) for n in range(7)] == [1, 0, 1, 2, 9, 44, 265]
 
 
+def derangement_recurrence_reference(n):
+    """d_m = m d_(m-1) + (-1)^m from d_0 = 1."""
+    d = 1
+    for m in range(1, n + 1):
+        d = m * d + (-1) ** m
+    return d
+
+
+def derangement_series_reference(n):
+    """n! [u^n] exp(-u)/(1-u), checked to be an integer."""
+    gf = LaurentSeries.exponential(n, F(-1)) * LaurentSeries.geometric(n)
+    val = gf.coefficient(n) * math.factorial(n)
+    assert val.denominator == 1, n
+    return val.numerator
+
+
 def test_derangement_routes_agree():
     for n in range(13):
         d = derangement(n)
-        assert derangement(n, "recurrence") == d
-        assert derangement(n, "series") == d
+        assert derangement_recurrence_reference(n) == d
+        assert derangement_series_reference(n) == d
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +287,34 @@ def test_leibnitz_frozen_values():
     assert leibnitz(5, 0) == F(1, 6)
 
 
+def integral_unit_interval(p):
+    """Exact integral of a Polynomial over [0, 1]."""
+    return sum((F(c) / (i + 1) for i, c in enumerate(p.coeffs)), F(0))
+
+
+def test_integral_unit_interval():
+    x = Polynomial.variable()
+    assert integral_unit_interval(x ** 2) == F(1, 3)
+    assert integral_unit_interval(Polynomial()) == 0
+
+
+def leibnitz_alternating_reference(m, l):
+    """sum_d (-1)^(l-d) C(l, d) / (m-d+1)."""
+    return sum((F((-1) ** (l - d) * math.comb(l, d), m - d + 1) for d in range(l + 1)), F(0))
+
+
+def leibnitz_integral_reference(m, l):
+    """The Beta integral of x^l (1-x)^(m-l) over [0, 1]."""
+    x = Polynomial.variable()
+    return integral_unit_interval(x ** l * (Polynomial.constant(F(1)) - x) ** (m - l))
+
+
 def test_leibnitz_routes_agree():
     for m in range(11):
         for l in range(m + 1):
             closed = leibnitz(m, l)
-            assert leibnitz(m, l, "alternating") == closed
-            assert leibnitz(m, l, "integral") == closed
+            assert leibnitz_alternating_reference(m, l) == closed
+            assert leibnitz_integral_reference(m, l) == closed
             assert leibnitz(m, m - l) == closed  # symmetry for free
 
 
@@ -226,14 +335,9 @@ def test_bernoulli_second_frozen_values():
 
 
 def test_bernoulli_second_routes_agree():
+    # b_n is the integral of the falling factorial (x)_n over [0, 1]
     for n in range(13):
-        assert bernoulli_second(n, "integral") == bernoulli_second(n, "series")
-
-
-def test_integral_unit_interval():
-    x = Polynomial.variable()
-    assert integral_unit_interval(x ** 2) == F(1, 3)
-    assert integral_unit_interval(Polynomial()) == 0
+        assert integral_unit_interval(falling_factorial(n)) == bernoulli_second(n)
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +420,42 @@ def test_apostol_bernoulli_low_orders():
     assert apostol_bernoulli(3) == 3 * w * (w + 1) / (w - 1) ** 3
 
 
+def apostol_bernoulli_formula_reference(n):
+    """The weighted Bernoulli number as a closed sum over Stirling numbers
+    of the second kind."""
+    if n == 0:
+        return RationalFunction(0)
+    w = RationalFunction.variable()
+    acc = RationalFunction(0)
+    for c in range(n):
+        acc = acc + (w ** (c - 1) * (w - 1) ** (n - 1 - c)
+                     * ((-1) ** c * math.factorial(c) * stirling_second(n - 1, c)))
+    return acc * w * n / (w - 1) ** n
+
+
 def test_apostol_bernoulli_routes_agree():
     for n in range(11):
-        assert apostol_bernoulli(n, "formula") == apostol_bernoulli(n, "series")
+        assert apostol_bernoulli_formula_reference(n) == apostol_bernoulli(n)
+
+
+def apostol_bernoulli_value_series_reference(n, weight, b=None):
+    """n! [u^n] u e^(b u)/(weight e^u - 1) at a rational weight."""
+    cs = [weight - 1] + [weight * F(1, math.factorial(j)) for j in range(1, n + 1)]
+    num = LaurentSeries.monomial(1, 1)
+    if b is not None:
+        num = num * LaurentSeries.exponential(n, F(b))
+    ratio = num / LaurentSeries(0, cs, n)
+    return ratio.coefficient(n) * math.factorial(n)
 
 
 def test_apostol_bernoulli_value_routes():
     for lam in (F(2), F(1, 2), F(-1), F(5, 3)):
         for n in range(9):
             assert (apostol_bernoulli_value(n, lam)
-                    == apostol_bernoulli_value(n, lam, method="series"))
+                    == apostol_bernoulli_value_series_reference(n, lam))
             for b in (F(0), F(1), F(-1, 2)):
                 assert (apostol_bernoulli_value(n, lam, b=b)
-                        == apostol_bernoulli_value(n, lam, b=b, method="series"))
+                        == apostol_bernoulli_value_series_reference(n, lam, b=b))
 
 
 def test_apostol_bernoulli_shift_identity():

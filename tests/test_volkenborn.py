@@ -3,7 +3,7 @@
 import inspect
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -18,7 +18,6 @@ from finsum.volkenborn import (
     integral_limit,
     mahler_route_value,
     integral_series_check,
-    integrand_value,
     riemann_sum,
     sample_row,
     volkenborn_sample,
@@ -46,6 +45,20 @@ def test_budget_rejections():
         volkenborn_sample(3, 2, "power", -1)
     with pytest.raises(ValueError):
         riemann_sum(3, 2, "power", 1, method="shuffled")
+
+
+def integrand_value(integrand, index, x):
+    """Integer value of ``x^j``, ``(x)_n`` or ``C(x, n)`` at integer x, the
+    falling factorial as an explicit product."""
+    if integrand == "power":
+        return x ** index
+    if integrand == "falling":
+        value = 1
+        for i in range(index):
+            value *= x - i
+        return value
+    assert integrand == "binom", integrand
+    return comb(x, index)
 
 
 def riemann_sum_reference(p, level, integrand, index, method):
