@@ -15,12 +15,12 @@ coefficient: by Gauss's lemma a product of primitive polynomials is already
 primitive.  Every result goes through one reduction (_reduce).  The rational
 functions of this package have poles only at 0, 1 and -1 (the closed forms of
 S(n) at 0 and 1, the weighted-Bernoulli and Euler identities add -1), so
-_reduce cancels the factors L, L-1 and L+1 by synthetic division and calls
-poly_gcd only when the denominator keeps another factor.  The
-Fraction-coefficient num and den are built on request.  At an int or
-Fraction point p/q, a RationalFunction and a Polynomial with int or Fraction
-coefficients are evaluated by Horner's rule in ints, and one Fraction is
-built at the end.
+_reduce cancels the factors L, L-1 and L+1 by synthetic division and any
+other common factor by an integer gcd, taken only when the denominator keeps
+another factor.  The Fraction-coefficient num and den are built on request.
+At an int or Fraction point p/q, a RationalFunction and a Polynomial with int
+or Fraction coefficients are evaluated by Horner's rule in ints, and one
+Fraction is built at the end.
 
 The series layer tracks, for every result, the largest order through which its
 coefficients are exact, and refuses to report anything beyond that.  That rule
@@ -277,11 +277,6 @@ class Polynomial:
             return NotImplemented
         return o + (-self)
 
-    def scale(self, factor) -> "Polynomial":
-        """Coefficient-wise scaling (for exotic scalar rings; see RationalFunction
-        for the plain-field path)."""
-        return Polynomial(tuple(c * factor for c in self.coeffs))
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
@@ -339,50 +334,8 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
-    # -- Euclidean structure (field coefficients) -------------------------
-    def __divmod__(self, other):
-        o = self._lift(other)
-        if o is None or not o:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(o.coeffs) + 1)
-        dlead = o.coeffs[-1]
-        dd = o.degree
-        while len(rem) - 1 >= dd and any(rem):
-            k = len(rem) - 1
-            if not rem[k]:
-                rem.pop()
-                continue
-            f = rem[k] / dlead
-            q[k - dd] = f
-            for i, c in enumerate(o.coeffs):
-                rem[k - dd + i] = rem[k - dd + i] - f * c
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    # -- content / primitive part (Fraction coefficients) -----------------
-    def content(self) -> Fraction:
-        """Positive rational g with self = g * (primitive integer polynomial);
-        the coefficients must be ints or Fractions."""
-        if not self.coeffs:
-            return Fraction(0)
-        return Fraction(math.gcd(*(c.numerator for c in self.coeffs)),
-                        math.lcm(*(c.denominator for c in self.coeffs)))
-
-    def primitive(self) -> "Polynomial":
-        """self / content(), an integer polynomial stored with Fraction coefficients."""
-        g = self.content()
-        if not g:
-            return self
-        n, d = g.numerator, g.denominator
-        return Polynomial(tuple(Fraction(c.numerator * (d // c.denominator) // n)
-                                for c in self.coeffs))
+    def __divmod__(self, other):  # unsupported; bench/tracer.py wraps this name
+        return NotImplemented
 
     # -- formatting --------------------------------------------------------
     def to_text(self, letter: str = "L", descending: bool = False) -> str:
@@ -421,22 +374,6 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """gcd over Q via the primitive Euclidean algorithm.
-
-    Returns a primitive integer-coefficient polynomial with positive leading
-    coefficient (or the zero polynomial when both inputs are zero).
-    """
-    a = a.primitive()
-    b = b.primitive()
-    while b:
-        _, r = divmod(a, b)
-        a, b = b, r.primitive()
-    if a and Fraction(a.leading) < 0:
-        a = -a
-    return a
-
-
 def _deflate(a, r):
     """Quotient of the int coefficient list a by L - r, r in (0, 1, -1), or None
     when a(r) != 0.  Synthetic division from the top: q[i-1] = a[i] + r * q[i],
@@ -445,6 +382,39 @@ def _deflate(a, r):
         return a[1:] if a[0] == 0 else None
     q = list(accumulate(reversed(a), operator.add if r == 1 else (lambda acc, c: c - acc)))
     return q[-2::-1] if q[-1] == 0 else None
+
+
+def _int_gcd(a, b):
+    """A primitive gcd, of either sign, of the primitive int coefficient lists
+    a and b: Euclid on primitive pseudo-remainders, each step r <- b[-1] * r -
+    r[-1] * L^k * b in ints (Knuth, TAOCP vol. 2, 4.6.1, Algorithms R and E)."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            f = r.pop()
+            r = [b[-1] * c for c in r]
+            for i, c in enumerate(b[:-1], len(r) - len(b) + 1):
+                r[i] -= f * c
+            while r and not r[-1]:
+                r.pop()
+        g = math.gcd(*r)  # 0 for r == [], whose comprehension divides nothing
+        a, b = b, [c // g for c in r]
+    return a
+
+
+poly_gcd = _int_gcd  # the name bench/tracer.py wraps for its exact.poly_gcd layer
+
+
+def _int_exact_div(a, g):
+    """a / g for a primitive int divisor g of a, by long division from the top;
+    by Gauss's lemma the quotient is integral, so each step divides exactly."""
+    r = list(a)
+    q = [0] * (len(a) - len(g) + 1)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + len(g) - 1] // g[-1]
+        for i, x in enumerate(g[:-1], k):
+            r[i] -= c * x
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +635,8 @@ def _reduce(a, b, sn, sd):
 
     The contents go into the scale.  The denominators of this package have
     roots only at 0, 1 and -1, so the factors L, L - 1 and L + 1 are cancelled
-    by synthetic division, and poly_gcd runs only when b keeps another factor.
+    by synthetic division; any other common factor is cancelled by the
+    integer gcd (_int_gcd), taken only when b keeps another factor.
     """
     while a and not a[-1]:
         a.pop()
@@ -689,10 +660,11 @@ def _reduce(a, b, sn, sd):
             while k and (q := _deflate(a, r)) is not None:
                 a, b, k = q, _deflate(b, r), k - 1
         if len(rest) > 1:  # a common factor left has no root at 0, 1 or -1
-            g = poly_gcd(Polynomial(a), Polynomial(rest))
-            if g.degree > 0:
-                a = [c.numerator for c in (Polynomial(a) // g).coeffs]
-                b = [c.numerator for c in (Polynomial(b) // g).coeffs]
+            g = _int_gcd(a, rest)
+            if len(g) > 1:
+                if g[-1] < 0:  # keeps b[-1] > 0
+                    g = [-c for c in g]
+                a, b = _int_exact_div(a, g), _int_exact_div(b, g)
     g = math.gcd(sn, sd)
     return tuple(a), tuple(b), sn // g, sd // g
 

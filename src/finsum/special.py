@@ -6,7 +6,8 @@ log-sum and catalog code call both.  The independent routes that check
 these values (generating series, closed double sums, exact integrals)
 are reference implementations in the tests.  Everything is exact: ints,
 Fractions, Polynomials in an auxiliary variable, or RationalFunctions in
-the weight for the weighted (Apostol-style) family.
+the weight for the weighted (Apostol-style) family.  The Stirling tables grow
+under a lock, so threads sharing them never append the same row twice.
 """
 
 import math
@@ -58,13 +59,15 @@ def bernoulli(n: int) -> Fraction:
 # Stirling numbers (first kind signed, second kind)
 # ---------------------------------------------------------------------------
 
-_TABLE_LOCK = threading.Lock()  # the length check and the append are one step
+_TABLE_LOCK = threading.Lock()
 
 
 def _extend(rows, n: int, step):
     """rows[n], after appending rows[m] = step(m, rows[m - 1]) for every
     missing m up to n.  The loop fills the table's own cache in ascending m,
-    so a cold call does not recurse and a sweep builds each row once."""
+    so a cold call does not recurse and a sweep builds each row once.  The
+    lock is synchronisation: it makes the length check and the append one
+    step, without which two threads could append the same row twice."""
     with _TABLE_LOCK:
         while len(rows) <= n:
             rows.append(step(len(rows), rows[-1]))

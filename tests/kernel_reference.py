@@ -16,11 +16,13 @@ the reference may hold an equal int, so types are not compared.
 ``euler_number`` is the integer Euler number from the Euler polynomial, a
 reference value shared by the special-function and zeta-value tests.
 
-``gcd_reference`` reduces a quotient through ``poly_gcd`` to the canonical
-form the RationalFunction constructor must produce, and
-``assert_same_ratfun`` compares a RationalFunction with a reference one
-coefficient type by coefficient type; the kernel and log-sum tests share
-them.
+``poly_gcd_reference`` is the Euclidean algorithm over Q on Fraction
+Polynomials, by the long division ``poly_divmod_reference`` and the
+primitive parts of ``primitive_reference``.  ``gcd_reference`` reduces a
+quotient through it to the canonical form the RationalFunction constructor
+must produce, and ``assert_same_ratfun`` compares a RationalFunction with a
+reference one coefficient type by coefficient type; the kernel and log-sum
+tests share them.
 """
 
 import functools
@@ -38,7 +40,6 @@ from finsum.exact import (
     _convolve,
     _ring_inverse,
     format_rational,
-    poly_gcd,
 )
 from finsum.special import euler_polynomial
 
@@ -85,8 +86,8 @@ class RationalFunctionReference:
             object.__setattr__(self, "num", Polynomial())
             object.__setattr__(self, "den", Polynomial.constant(Fraction(1)))
             return
-        a = [c.numerator for c in num.primitive().coeffs]
-        b = [c.numerator for c in den.primitive().coeffs]
+        a = [c.numerator for c in primitive_reference(num).coeffs]
+        b = [c.numerator for c in primitive_reference(den).coeffs]
         scale = Fraction(num.leading * b[-1]) / (den.leading * a[-1])
         rest = b
         for r in (0, 1, -1):
@@ -96,10 +97,10 @@ class RationalFunctionReference:
             while k and (q := _deflate(a, r)) is not None:
                 a, b, k = q, _deflate(b, r), k - 1
         if len(rest) > 1:
-            g = poly_gcd(Polynomial(a), Polynomial(rest))
+            g = poly_gcd_reference(Polynomial(a), Polynomial(rest))
             if g.degree > 0:
-                a = [c.numerator for c in (Polynomial(a) // g).coeffs]
-                b = [c.numerator for c in (Polynomial(b) // g).coeffs]
+                a = [c.numerator for c in poly_divmod_reference(Polynomial(a), g)[0].coeffs]
+                b = [c.numerator for c in poly_divmod_reference(Polynomial(b), g)[0].coeffs]
         sn, sd = scale.numerator, scale.denominator
         if b[-1] < 0:
             sn, sd = -sn, -sd
@@ -546,7 +547,7 @@ def euler_number(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# canonical form of a RationalFunction, through poly_gcd
+# canonical form of a RationalFunction, through the Euclidean algorithm over Q
 # ---------------------------------------------------------------------------
 
 def content_reference(p):
@@ -565,17 +566,43 @@ def primitive_reference(p):
     return Polynomial(tuple(Fraction(c) / g for c in p.coeffs))
 
 
+def poly_divmod_reference(a, b):
+    """(q, r) with a = q * b + r and deg r < deg b, by long division of the
+    Fraction coefficients."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in a.coeffs]
+    q = [Fraction(0)] * max(0, len(rem) - len(b.coeffs) + 1)
+    while len(rem) >= len(b.coeffs):
+        f = rem[-1] / b.leading
+        q[len(rem) - len(b.coeffs)] = f
+        for i, c in enumerate(b.coeffs, len(rem) - len(b.coeffs)):
+            rem[i] -= f * c
+        rem.pop()
+    return Polynomial(q), Polynomial(rem)
+
+
+def poly_gcd_reference(a, b):
+    """gcd over Q by the primitive Euclidean algorithm: a primitive integer
+    polynomial with Fraction coefficients and positive leading coefficient,
+    or zero when both are zero."""
+    a, b = primitive_reference(a), primitive_reference(b)
+    while b:
+        a, b = b, primitive_reference(poly_divmod_reference(a, b)[1])
+    return -a if a and a.leading < 0 else a
+
+
 def gcd_reference(num: Polynomial, den: Polynomial):
-    """(num, den) of num/den reduced through poly_gcd for every pair, then
-    scaled to the canonical form: the reference for RationalFunction's
-    constructor, which cancels the poles 0, 1 and -1 in integers and reaches
-    poly_gcd only for other factors."""
+    """(num, den) of num/den reduced through poly_gcd_reference for every
+    pair, then scaled to the canonical form: the reference for
+    RationalFunction's constructor, which cancels the poles 0, 1 and -1 by
+    synthetic division and any other factor by an integer gcd."""
     if not num:
         return Polynomial(), Polynomial.constant(Fraction(1))
-    g = poly_gcd(num, den)
+    g = poly_gcd_reference(num, den)
     if g.degree > 0:
-        num = num // g
-        den = den // g
+        num = poly_divmod_reference(num, g)[0]
+        den = poly_divmod_reference(den, g)[0]
     scale = content_reference(num) / content_reference(den)
     num = Polynomial(tuple(c * scale.numerator for c in primitive_reference(num).coeffs))
     den = Polynomial(tuple(c * scale.denominator for c in primitive_reference(den).coeffs))

@@ -19,17 +19,14 @@ from finsum.exact import (
     format_rational,
     padic_valuation,
     parse_rational,
-    poly_gcd,
 )
 from finsum.genfun import log_gf
 from finsum.logsum import logsum_value
 from kernel_reference import (
     RationalFunctionReference,
     assert_same_ratfun,
-    content_reference,
     gcd_reference,
     horner_reference,
-    primitive_reference,
     typed_coeffs,
 )
 
@@ -99,15 +96,8 @@ def test_polynomial_ring_axioms(a, b, c):
     assert (pa + pb) + pc == pa + (pb + pc)
     assert pa * (pb + pc) == pa * pb + pa * pc
     assert pa * pb == pb * pa
-
-
-def test_polynomial_divmod_and_gcd():
-    a = poly(-1, 0, 1)          # x^2 - 1
-    b = poly(1, 1)              # x + 1
-    q, r = divmod(a, b)
-    assert q == poly(-1, 1) and not r
-    g = poly_gcd(poly(-1, 0, 1), poly(1, 2, 1))   # gcd(x^2-1, (x+1)^2)
-    assert g == poly(1, 1)
+    assert 1 - pa == -(pa - 1)      # the reflected operators
+    assert F(1, 2) - pa == -(pa - F(1, 2))
 
 
 def test_polynomial_trailing_zeros_trimmed():
@@ -183,7 +173,7 @@ scalars = st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(b
 def with_poles(coeffs, powers, scalar=F(1), as_ints=False):
     """scalar * poly(coeffs) * L^i * (L-1)^j * (L+1)^k; with as_ints, the
     integral coefficients are stored as ints."""
-    p = poly(*coeffs).scale(scalar)
+    p = poly(*coeffs) * scalar
     for factor, k in zip(POLE_FACTORS, powers):
         p = p * factor ** k
     if as_ints:
@@ -191,24 +181,29 @@ def with_poles(coeffs, powers, scalar=F(1), as_ints=False):
     return p
 
 
+def test_ratfun_integer_gcd_cancels_other_factors():
+    # s has no root at 0, 1 or -1, so only the general gcd can cancel it
+    s = poly(1, 0, 1) * poly(5, 3)          # (L^2 + 1)(3L + 5)
+    assert RationalFunction(poly(2, 1) * s, poly(-5, 3) * s) == RationalFunction(poly(2, 1), poly(-5, 3))
+
+
+factors = st.lists(st.integers(min_value=-5, max_value=5), max_size=3).filter(any)
+
+
 @settings(max_examples=150, deadline=None)
 @given(coeff_lists, pole_powers, scalars, nonzero_coeff_lists, pole_powers, scalars,
-       st.lists(st.integers(min_value=-5, max_value=5), max_size=3).filter(any), st.booleans())
+       st.tuples(factors, factors), st.booleans())
+@example([5, 3], (1, 0, 0), F(1), [10, 6], (0, 1, 0), F(1), ([1, 0, 1], [1, 0, 1]), False)
+@example([0, 1], (0, 0, 1), F(2, 3), [-1, 2], (0, 0, 0), F(-1), ([-3, 0, -2], [1]), True)
 def test_ratfun_constructor_matches_gcd_reference(a, pa, sa, b, pb, sb, common, as_ints):
-    shared = poly(*common)
+    """The shared factor is a product of two factors of degree <= 2, so it
+    may hold a repeated irreducible factor and a negative, non-unit leading
+    coefficient."""
+    shared = poly(*common[0]) * poly(*common[1])
     num = with_poles(a, pa, sa, as_ints) * shared
     den = with_poles(b, pb, sb, as_ints) * shared
     want = RationalFunctionReference.from_parts(*gcd_reference(num, den))
     assert_same_ratfun(RationalFunction(num, den), want)
-
-
-@settings(max_examples=100)
-@given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=50), max_size=8))
-def test_content_and_primitive_match_reference(cs):
-    p = Polynomial(tuple(cs))
-    assert p.content() == content_reference(p)
-    if p:
-        assert typed_coeffs(p.primitive()) == typed_coeffs(primitive_reference(p))
 
 
 rational_functions = st.builds(

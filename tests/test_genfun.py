@@ -124,7 +124,7 @@ def test_leibnitz_three_term_polynomial_identity():
     x = Polynomial.variable()
     for n in range(1, 13):
         lhs = (x + 1) * leibnitz_polynomial(n) - x * leibnitz_polynomial(n - 1)
-        rhs = (Polynomial.monomial(Fraction(1), n + 1) + 1).scale(Fraction(1, n + 1))
+        rhs = (Polynomial.monomial(Fraction(1), n + 1) + 1) * Fraction(1, n + 1)
         assert lhs == rhs
 
 

@@ -170,9 +170,9 @@ def _expanded_numerator(n):
         num = num + Polynomial.monomial(Fraction(scale // (j + 1)), n - j) * shifted ** j
     if n % 2:
         num = -num
-    g = math.gcd(int(num.content()), scale)
+    g = math.gcd(*(c.numerator for c in num.coeffs), scale)
     if g > 1:
-        num = num.scale(Fraction(1, g))
+        num = num * Fraction(1, g)
         scale //= g
     return num, scale
 

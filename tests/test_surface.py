@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "finsum"
-GUARDED = ("special", "genfun", "zetavals", "volkenborn", "logsum")
+GUARDED = ("exact", "special", "genfun", "zetavals", "volkenborn", "logsum")
 
 
 def _tree(path):
