@@ -50,8 +50,8 @@ polynomials and of the exponential-parameter expansions divide this way.
 Any other dividend (the mercator numerators of the generating series over
 z^2 - z among them) takes the loop on its coefficients.
 
-Polynomial products use the same integer convolution (_convolve), which
-builds a Fraction for each product coefficient.
+Polynomial products take the term-by-term loop; a catalog pass forms only a
+few.
 """
 
 from __future__ import annotations
@@ -155,20 +155,6 @@ def _homogeneous(cs, p, q):
         acc = acc * p + c * qk
         qk *= q
     return acc
-
-
-def _convolve(a, b, n):
-    """The first n coefficients of the product of the coefficient sequences a
-    and b, as Fractions, or None unless every coefficient of both is an int or
-    a Fraction.  Each operand is scaled to int numerators over one common
-    denominator, the ints are convolved, and each sum is reduced once."""
-    a, b = a[:n], b[:n]
-    if not all(isinstance(c, (int, Fraction)) for c in a + b):
-        return None
-    ia, da = _over_common_denominator(a)
-    ib, db = _over_common_denominator(b)
-    d = da * db
-    return [Fraction(c, d) for c in _int_convolve(ia, ib, n)]
 
 
 def _trim(coeffs):
@@ -284,14 +270,12 @@ class Polynomial:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return Polynomial()
-        out = _convolve(a, b, len(a) + len(b) - 1)
-        if out is None:
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
         return Polynomial(out)
 
     __rmul__ = __mul__

@@ -103,45 +103,56 @@ def logsum_bernoulli_stirling(n: int, q):
 
 @lru_cache(maxsize=None)
 def _symbolic_parts(n: int):
-    """(numerator, scale, power) with S(n) = numerator / (scale * L^power * (L-1)^power).
+    """(num, scale) with S(n) = num(L) / (scale * L^(n+1) * (L-1)^(n+1)).
 
-    The numerator is an integer polynomial of degree n; scale = lcm(1..n+1)
-    clears every 1/(j+1).  It is expanded in integers: the term
-    (-1)^n * (scale/(j+1)) * L^(n-j) * (L-1)^j adds
-    (-1)^n * (scale/(j+1)) * C(j, i) * (-1)^(j-i) to the coefficient of
-    L^(n-j+i), with C(j, i) carried from one i to the next, so the whole
-    numerator costs O(n^2) integer operations.  The three pieces are in
-    lowest terms: the numerator vanishes at neither 0 (value +-scale/(n+1))
-    nor 1 (value +-scale), and any common integer content is divided out.
-    The coefficients are returned as Fractions.
+    num holds the int coefficients, ascending, of the degree-n numerator
+    (-1)^n * sum_j (scale/(j+1)) * L^(n-j) * (L-1)^j; scale = lcm(1..n+1)
+    clears every 1/(j+1).  With t = 1 - 1/L the sum is scale * L^n * F(t)/t
+    up to sign, where F(t) = sum_{k<=n+1} t^k/k has
+    F'(t) = (1 - t^(n+1))/(1 - t).  Integrating gives each coefficient from
+    the one before it; with c_r the coefficient of L^(n-r), one pass runs
+    down from the constant term c_n = scale/(n+1):
+
+        c_(r-1) = c_r - (-1)^(n+r) * (scale/r) * C(n+1, r),
+
+    carrying C(n+1, r) as a running binomial: O(n) int operations.  The
+    pass must not be seeded with the leading coefficient +-scale * H_(n+1):
+    run downwards, that coefficient equals it only through
+    sum_{k>=1} (-1)^(k+1) * C(m, k)/k = H_m, so the "table" route of
+    harmonic_lcm_sequence checks that identity instead of repeating the
+    harmonic sum.  The parts are in lowest terms: the numerator vanishes at
+    neither 0 (value scale/(n+1)) nor 1 (value +-scale), and any common
+    integer content is divided out.
     """
     _check_index(n)
     scale = math.lcm(*range(1, n + 2))
-    coeffs = [0] * (n + 1)
-    for j in range(n + 1):
-        # the i = 0 term, with the overall sign (-1)^n folded in
-        term = scale // (j + 1) if (n - j) % 2 == 0 else -(scale // (j + 1))
-        for i in range(j + 1):
-            coeffs[n - j + i] += term
-            term = -term * (j - i) // (i + 1)
+    c = scale // (n + 1)
+    coeffs = [c]
+    binom = n + 1  # C(n+1, r) at r = n
+    for r in range(n, 0, -1):
+        step = scale // r * binom
+        c = c - step if (n + r) % 2 == 0 else c + step
+        coeffs.append(c)
+        binom = binom * r // (n + 2 - r)
     g = math.gcd(scale, *coeffs)
     if g > 1:
         coeffs = [c // g for c in coeffs]
         scale //= g
-    return Polynomial(tuple(Fraction(c) for c in coeffs)), scale, n + 1
+    return tuple(coeffs), scale
 
 
 @lru_cache(maxsize=None)
 def logsum_symbolic(n: int) -> RationalFunction:
     """Closed form of S(n, .) as a reduced rational function of the parameter."""
-    num, scale, power = _symbolic_parts(n)
+    num, scale = _symbolic_parts(n)
+    power = n + 1
     # scale * L^power * (L-1)^power: L^(power+i) has scale * C(power, i) * (-1)^(power-i)
     den = [0] * power
     term = scale if power % 2 == 0 else -scale
     for i in range(power + 1):
         den.append(term)
         term = -term * (power - i) // (i + 1)
-    return RationalFunction(num, Polynomial(den))
+    return RationalFunction(Polynomial(num), Polynomial(den))
 
 
 _METHODS = ("direct", "alg1", "recurrence", "symbolic")
@@ -189,9 +200,10 @@ def logsum_at_half(n: int) -> Fraction:
 
 def table_entry(n: int) -> str:
     """Canonical text of S(n): descending numerator over the factored denominator."""
-    num, scale, power = _symbolic_parts(n)
-    num_text = num.to_text("L", descending=True)
-    if sum(1 for c in num.coeffs if c) > 1:
+    num, scale = _symbolic_parts(n)
+    power = n + 1
+    num_text = Polynomial(num).to_text("L", descending=True)
+    if sum(1 for c in num if c) > 1:
         num_text = f"({num_text})"
     factors = []
     if scale != 1:
@@ -225,7 +237,8 @@ def harmonic_lcm_sequence(count: int, method: str = "harmonic") -> list:
     The "harmonic" route carries L_k = lcm(1..k) and N_k = L_k * H_k, with
     N_k = N_(k-1) * (L_k / L_(k-1)) + L_k / k, apart from the termwise
     :func:`lcm_harmonic`.  The "table" route reads |leading coefficient| of
-    the degree-(k-1) numerator, which equals lcm(1..k) * H_k.
+    the degree-(k-1) numerator, which equals lcm(1..k) * H_k only through the
+    alternating binomial identity of :func:`_symbolic_parts`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -238,9 +251,5 @@ def harmonic_lcm_sequence(count: int, method: str = "harmonic") -> list:
             out.append(num)
         return out
     if method == "table":
-        out = []
-        for k in range(count):
-            num, _, _ = _symbolic_parts(k)
-            out.append(abs(int(Fraction(num.leading))))
-        return out
+        return [abs(_symbolic_parts(k)[0][-1]) for k in range(count)]
     raise ValueError(f"unknown method {method!r}; expected 'harmonic' or 'table'")

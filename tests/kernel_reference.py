@@ -8,7 +8,8 @@ coefficient.  The kernel under test must match both value for value, type
 for type, and exception for exception.
 
 ``LaurentSeriesReference`` is the LaurentSeries that stored its coefficients
-as given and built a reduced Fraction for every coefficient of every result.
+as given and built a reduced Fraction for every coefficient of every result;
+it multiplies through its own copy of the integer convolution ``_convolve``.
 The kernel under test must match it in offset, truncation order, coefficient
 values, text and exception type; its int-form results hold Fractions where
 the reference may hold an equal int, so types are not compared.
@@ -37,7 +38,6 @@ from finsum.exact import (
     RationalFunction,
     TruncationError,
     _as_order,
-    _convolve,
     _ring_inverse,
     format_rational,
 )
@@ -52,6 +52,25 @@ def horner_reference(p, x):
     if acc is None:
         return Fraction(0)
     return acc
+
+
+def _convolve(a, b, n):
+    """The first n coefficients of the product of the coefficient sequences a
+    and b, as Fractions, or None unless every coefficient of both is an int or
+    a Fraction: each operand is scaled to int numerators over one common
+    denominator, the ints are convolved, and each sum is reduced once."""
+    a, b = a[:n], b[:n]
+    if not all(isinstance(c, (int, Fraction)) for c in a + b):
+        return None
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    ib = [c.numerator * (db // c.denominator) for c in b]
+    out = [0] * n
+    for i, x in enumerate(c.numerator * (da // c.denominator) for c in a):
+        if x:
+            for j, y in enumerate(ib[: n - i], i):
+                out[j] += x * y
+    return [Fraction(c, da * db) for c in out]
 
 
 def _deflate(a, r):

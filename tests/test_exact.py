@@ -492,9 +492,11 @@ def test_divide_matches_inverse_times_product(pair, through):
 
 def mul_reference(a, b):
     """a * b by the generic Cauchy-product loops, one Fraction operation per
-    term: the reference for Polynomial.__mul__ and LaurentSeries.__mul__,
-    which convolve int and Fraction coefficients in ints over one common
-    denominator."""
+    term: the reference for LaurentSeries.__mul__, which convolves int and
+    Fraction coefficients in ints over one common denominator, and for
+    Polynomial.__mul__, which runs the same loop (so for polynomials it pins
+    the Fraction type of each product coefficient, and the test checks the
+    values by evaluation)."""
     if isinstance(a, Polynomial):
         if not a.coeffs or not b.coeffs:
             return Polynomial()
@@ -559,6 +561,7 @@ def test_products_match_generic_loops(operands):
     pa, pb, sa, sb = operands
     for a, b in ((pa, pb), (pb, pa)):
         assert typed_coeffs(a * b) == typed_coeffs(mul_reference(a, b))
+        assert (a * b)(F(-3, 7)) == a(F(-3, 7)) * b(F(-3, 7))
     for a, b in ((sa, sb), (sb, sa)):
         assert _typed_series(a * b) == _typed_series(mul_reference(a, b))
 

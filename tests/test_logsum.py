@@ -28,7 +28,6 @@ from kernel_reference import (
     RationalFunctionReference,
     assert_same_ratfun,
     gcd_reference,
-    typed_coeffs,
 )
 
 # the package re-exports the function logsum, which shadows the module name
@@ -177,19 +176,48 @@ def _expanded_numerator(n):
     return num, scale
 
 
+def symbolic_parts_reference(n):
+    """(num, scale) of the S(n) numerator by the double loop: the term
+    (-1)^n * (scale/(j+1)) * L^(n-j) * (L-1)^j adds
+    (-1)^n * (scale/(j+1)) * C(j, i) * (-1)^(j-i) to the coefficient of
+    L^(n-j+i), with C(j, i) carried from one i to the next (O(n^2) int
+    operations); the content shared with scale is divided out."""
+    scale = math.lcm(*range(1, n + 2))
+    coeffs = [0] * (n + 1)
+    for j in range(n + 1):
+        # the i = 0 term, with the overall sign (-1)^n folded in
+        term = scale // (j + 1) if (n - j) % 2 == 0 else -(scale // (j + 1))
+        for i in range(j + 1):
+            coeffs[n - j + i] += term
+            term = -term * (j - i) // (i + 1)
+    g = math.gcd(scale, *coeffs)
+    if g > 1:
+        coeffs = [c // g for c in coeffs]
+        scale //= g
+    return tuple(coeffs), scale
+
+
+def test_symbolic_parts_match_the_double_loop():
+    for n in range(201):
+        num, scale = logsum_module._symbolic_parts(n)
+        assert (num, scale) == symbolic_parts_reference(n)
+        assert type(scale) is int and all(type(c) is int for c in num)
+
+
 def test_symbolic_numerator_matches_polynomial_expansion():
     for n in range(31):
-        num, scale, power = logsum_module._symbolic_parts(n)
+        num, scale = logsum_module._symbolic_parts(n)
         want_num, want_scale = _expanded_numerator(n)
-        assert typed_coeffs(num) == typed_coeffs(want_num)
-        assert (scale, power) == (want_scale, n + 1)
+        assert [(type(c), c) for c in num] == [(int, c) for c in want_num.coeffs]
+        assert (scale, len(num)) == (want_scale, n + 1)
 
 
 def test_closed_form_equals_gcd_constructor():
     shifted = Polynomial((Fraction(-1), Fraction(1)))
     for n in range(41):
-        num, scale, power = logsum_module._symbolic_parts(n)
-        den = Polynomial.monomial(Fraction(scale), power) * shifted ** power
+        num, scale = logsum_module._symbolic_parts(n)
+        num = Polynomial(tuple(Fraction(c) for c in num))
+        den = Polynomial.monomial(Fraction(scale), n + 1) * shifted ** (n + 1)
         want = RationalFunctionReference.from_parts(*gcd_reference(num, den))
         assert_same_ratfun(logsum_symbolic(n), want)
 
@@ -239,3 +267,5 @@ def test_closed_form_time_budgets():
     assert elapsed < 1.0, f"logsum_symbolic(100) exceeded its 1s budget: {elapsed:.2f}s"
     elapsed = _fresh_seconds(table, 150)
     assert elapsed < 5.0, f"table(150) exceeded its 5s budget: {elapsed:.2f}s"
+    elapsed = _fresh_seconds(logsum_module._symbolic_parts, 2000)
+    assert elapsed < 1.0, f"_symbolic_parts(2000) exceeded its 1s budget: {elapsed:.2f}s"
