@@ -339,12 +339,12 @@ class Polynomial:
                 var = "" if k == 0 else ("*" + (letter if k == 1 else f"{letter}^{k}"))
                 terms.append((False, f"({c.to_text()}){var}"))
                 continue
-            c = Fraction(c)
+            size = abs(c)
             if k == 0:
-                body = format_rational(abs(c))
+                body = str(size)
             else:
                 var = letter if k == 1 else f"{letter}^{k}"
-                body = var if abs(c) == 1 else f"{format_rational(abs(c))}*{var}"
+                body = var if size == 1 else f"{size}*{var}"
             terms.append((c < 0, body))
         out = []
         for i, (neg, body) in enumerate(terms):
@@ -572,9 +572,11 @@ class RationalFunction:
                         _int_mul(b, b), self._sn, self._sd)
 
     def to_text(self, letter: str = "L", descending: bool = False) -> str:
-        num, den = self.num, self.den
+        # num and den with int coefficients: they print as the Fraction ones
+        num = Polynomial(tuple(self._sn * c for c in self._a))
+        den = Polynomial(tuple(self._sd * c for c in self._b))
         n = num.to_text(letter, descending)
-        if den == Polynomial.constant(Fraction(1)):
+        if den.coeffs == (1,):
             return n
         d = den.to_text(letter, descending)
         np = n if (num.degree <= 0 and "-" not in n) else f"({n})"

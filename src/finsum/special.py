@@ -83,7 +83,6 @@ def _stirling_first_row(n: int):
         left - (m - 1) * right for left, right in zip((0,) + prev, prev + (0,))))
 
 
-@lru_cache(maxsize=None)
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind: coefficient of x^k in the
     falling factorial x(x-1)...(x-n+1)."""
@@ -103,7 +102,6 @@ def _stirling_second_row(n: int):
         left + k * right for k, (left, right) in enumerate(zip((0,) + prev, prev + (0,)))))
 
 
-@lru_cache(maxsize=None)
 def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind (set partitions into k blocks)."""
     if n < 0:

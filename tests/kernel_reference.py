@@ -5,7 +5,9 @@ numerator and denominator as Fraction-coefficient Polynomials and reduced
 every result through one Fraction-based constructor.  ``horner_reference``
 is the plain Horner loop of ``Polynomial.__call__``, one scalar operation per
 coefficient.  The kernel under test must match both value for value, type
-for type, and exception for exception.
+for type, and exception for exception.  ``polynomial_text_reference`` is
+``Polynomial.to_text`` formatting every coefficient through ``Fraction`` and
+``format_rational``; the reference rational function prints through it.
 
 ``LaurentSeriesReference`` is the LaurentSeries that stored its coefficients
 as given and built a reduced Fraction for every coefficient of every result;
@@ -52,6 +54,42 @@ def horner_reference(p, x):
     if acc is None:
         return Fraction(0)
     return acc
+
+
+def polynomial_text_reference(p, letter: str = "L", descending: bool = False) -> str:
+    """The text of Polynomial.to_text, formatting each int or Fraction
+    coefficient through Fraction and format_rational, and a RationalFunction
+    coefficient through the reference rational function's text."""
+    if not p.coeffs:
+        return "0"
+    terms = []
+    indices = range(len(p.coeffs))
+    if descending:
+        indices = reversed(indices)
+    for k in indices:
+        c = p.coeffs[k]
+        if not c:
+            continue
+        if not isinstance(c, (int, Fraction)):
+            if isinstance(c, RationalFunction):
+                c = RationalFunctionReference.from_parts(c.num, c.den)
+            var = "" if k == 0 else ("*" + (letter if k == 1 else f"{letter}^{k}"))
+            terms.append((False, f"({c.to_text()}){var}"))
+            continue
+        c = Fraction(c)
+        if k == 0:
+            body = format_rational(abs(c))
+        else:
+            var = letter if k == 1 else f"{letter}^{k}"
+            body = var if abs(c) == 1 else f"{format_rational(abs(c))}*{var}"
+        terms.append((c < 0, body))
+    out = []
+    for i, (neg, body) in enumerate(terms):
+        if i == 0:
+            out.append(("-" if neg else "") + body)
+        else:
+            out.append(("- " if neg else "+ ") + body)
+    return " ".join(out)
 
 
 def _convolve(a, b, n):
@@ -227,10 +265,10 @@ class RationalFunctionReference:
         )
 
     def to_text(self, letter: str = "L", descending: bool = False) -> str:
-        n = self.num.to_text(letter, descending)
+        n = polynomial_text_reference(self.num, letter, descending)
         if self.den == Polynomial.constant(Fraction(1)):
             return n
-        d = self.den.to_text(letter, descending)
+        d = polynomial_text_reference(self.den, letter, descending)
         np = n if (self.num.degree <= 0 and "-" not in n) else f"({n})"
         dp = d if self.den.degree <= 0 else f"({d})"
         return f"{np}/{dp}"

@@ -27,6 +27,7 @@ from kernel_reference import (
     assert_same_ratfun,
     gcd_reference,
     horner_reference,
+    polynomial_text_reference,
     typed_coeffs,
 )
 
@@ -116,6 +117,24 @@ def test_polynomial_text():
     assert poly(1, F(-3, 2), 0, 1).to_text() == "1 - 3/2*L + L^3"
     assert poly(12, -63, 137, -163, 137).to_text(descending=True) == \
         "137*L^4 - 163*L^3 + 137*L^2 - 63*L + 12"
+
+
+text_coeffs = st.lists(
+    st.one_of(st.integers(min_value=-12, max_value=12),
+              st.fractions(min_value=-6, max_value=6, max_denominator=9)),
+    max_size=8)
+
+
+@settings(max_examples=300)
+@given(text_coeffs, st.booleans(), st.sampled_from(["L", "b"]))
+@example([], False, "L")
+@example([0, 0], True, "L")
+@example([1, -1, F(1), F(-1)], False, "L")
+@example([-1, 0, -1], True, "b")
+@example([F(-3, 2), 4, F(-1, 3), F(6, 3), -7], True, "L")
+def test_polynomial_text_matches_reference(coeffs, descending, letter):
+    p = Polynomial(coeffs)
+    assert p.to_text(letter, descending) == polynomial_text_reference(p, letter, descending)
 
 
 # ---------------------------------------------------------------------------

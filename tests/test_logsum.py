@@ -28,6 +28,7 @@ from kernel_reference import (
     RationalFunctionReference,
     assert_same_ratfun,
     gcd_reference,
+    polynomial_text_reference,
 )
 
 # the package re-exports the function logsum, which shadows the module name
@@ -210,6 +211,19 @@ def test_symbolic_numerator_matches_polynomial_expansion():
         want_num, want_scale = _expanded_numerator(n)
         assert [(type(c), c) for c in num] == [(int, c) for c in want_num.coeffs]
         assert (scale, len(num)) == (want_scale, n + 1)
+
+
+def test_closed_form_text_matches_reference():
+    for n in range(301):
+        num = Polynomial(logsum_module._symbolic_parts(n)[0])
+        for descending in (False, True):
+            assert num.to_text("L", descending) == \
+                polynomial_text_reference(num, "L", descending)
+    for n in range(61):
+        f = logsum_symbolic(n)
+        ref = RationalFunctionReference.from_parts(f.num, f.den)
+        for descending in (False, True):
+            assert f.to_text("L", descending) == ref.to_text("L", descending)
 
 
 def test_closed_form_equals_gcd_constructor():

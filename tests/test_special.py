@@ -33,7 +33,7 @@ from finsum.special import (
     stirling_first,
     stirling_second,
 )
-from kernel_reference import euler_number
+from kernel_reference import euler_number, polynomial_text_reference
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +471,14 @@ def test_apostol_bernoulli_polynomial_renders():
     # degree drops to n-1 because the order-zero weighted number vanishes
     text = apostol_bernoulli_polynomial(2).to_text("b")
     assert "*b" in text and "/" in text
+
+
+def test_apostol_bernoulli_polynomial_text_matches_reference():
+    # RationalFunction coefficients print in parentheses, ints and Fractions
+    # inside them through the same formatter
+    p = apostol_bernoulli_polynomial(3)
+    for descending in (False, True):
+        assert p.to_text("b", descending) == polynomial_text_reference(p, "b", descending)
 
 
 def test_apostol_bernoulli_weight_domain():

@@ -3,7 +3,9 @@
 A public function that nothing in the package or the demos calls is code
 only the tests reach; it belongs in ``tests/`` as a reference.  The
 special-number families keep one route each, so ``finsum.special`` takes a
-``method`` argument only where the library itself runs two routes.
+``method`` argument only where the library itself runs two routes, and the
+Volkenborn Riemann sums have one summation order, so no ``finsum.volkenborn``
+function takes one.
 """
 
 import ast
@@ -63,9 +65,16 @@ def test_every_public_function_has_a_caller(module):
     assert uncalled == [], f"finsum.{module}: public functions only tests call: {uncalled}"
 
 
+def _taking_a_method(module):
+    """Public functions of finsum.<module> with a ``method`` parameter."""
+    return [func.name for func in _public_functions(_tree(PACKAGE / f"{module}.py"))
+            if any(arg.arg == "method" for arg in func.args.args + func.args.kwonlyargs)]
+
+
 def test_only_daehee_takes_a_method_in_special():
-    tree = _tree(PACKAGE / "special.py")
-    with_method = [func.name for func in _public_functions(tree)
-                   if any(arg.arg == "method"
-                          for arg in func.args.args + func.args.kwonlyargs)]
-    assert with_method == ["daehee"]
+    assert _taking_a_method("special") == ["daehee"]
+
+
+def test_no_volkenborn_function_takes_a_method():
+    # one summation order per Riemann sum; the second lives in the tests
+    assert _taking_a_method("volkenborn") == []
