@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, inf, isclose, lcm
 
@@ -185,13 +185,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(namedtuple("Counterexample", "params lhs rhs")):
     """One exact failing instance of a catalogued statement."""
 
-    params: dict
-    lhs: str
-    rhs: str
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {"params": dict(self.params), "lhs": self.lhs, "rhs": self.rhs}
@@ -263,22 +260,17 @@ def _matches(value, text: str) -> bool:
     return _fmt(value) == text
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(namedtuple(
+        "IdentityRecord",
+        "id family statement status check printed_sides counterexamples note",
+        defaults=(None, (), ""))):
     """A catalogued statement plus the machinery to re-verify it.
 
     ``printed_sides(**params)`` returns the failing form's ``(lhs, rhs)`` at
     a counterexample's parsed params (``lambda`` passed as ``lam``).
     """
 
-    id: str
-    family: str
-    statement: str
-    status: str
-    check: callable
-    printed_sides: callable = None
-    counterexamples: tuple = field(default=())
-    note: str = ""
+    __slots__ = ()
 
     def printed_check(self) -> bool:
         """True when every stored counterexample's sides, recomputed at its
@@ -995,29 +987,14 @@ def _check_fibonacci_generating(bound):
 # family "apostol": weighted Bernoulli / Stirling / Lerch / cosine network
 # ---------------------------------------------------------------------------
 
-def _stirling_route(M: int, q) -> Fraction:
-    if isinstance(q, RationalFunction):
-        total = RationalFunction(0)
-        for n in range(M + 1):
-            w = factorial(n + 1) * stirling_second(M, n + 1)
-            if w:
-                total = total + (q ** (n + 1)) * logsum_symbolic(n) * Fraction(w)
-        return total
-    total = Fraction(0)
-    for n in range(M + 1):
-        w = factorial(n + 1) * stirling_second(M, n + 1)
-        if w:
-            total += w * q ** (n + 1) * logsum_value(n, q)
-    return total
-
-
 def _check_weighted_stirling_master(bound):
     sweep = _Sweep()
     top = _numeric_bound(bound, default=14, cap=16)
+    built = [weighted_number_sum(M) for M in range(top + 1)]
     for q in LAMBDA_SET:
         for M in range(top + 1):
             direct = apostol_bernoulli_value(M, q)
-            sweep.eq({"M": M, "lambda": q, "route": "stirling"}, _stirling_route(M, q), direct)
+            sweep.eq({"M": M, "lambda": q, "route": "stirling"}, built[M](q), direct)
             sweep.eq(
                 {"M": M, "lambda": q, "route": "weighted-sum"},
                 weighted_number_sum(M, q),
@@ -1025,8 +1002,8 @@ def _check_weighted_stirling_master(bound):
             )
     for M in range(_symbolic_bound(bound) + 1):
         expect = apostol_bernoulli(M)
-        sweep.eq({"M": M, "route": "stirling-symbolic"}, _stirling_route(M, _L), expect)
-        sweep.eq({"M": M, "route": "weighted-sum-symbolic"}, weighted_number_sum(M), expect)
+        sweep.eq({"M": M, "route": "stirling-symbolic"}, built[M], expect)
+        sweep.eq({"M": M, "route": "weighted-sum-symbolic"}, built[M], expect)
     return sweep.result()
 
 
@@ -1046,84 +1023,43 @@ def _check_half_weighted_expansion(bound):
     return sweep.result()
 
 
-def _inverse_factorial_form(m: int, q):
-    return (
-        sum(
-            (
-                Fraction((-1) ** n * factorial(n + 1), j + 1)
-                * (q / (q - 1)) ** (n - j)
-                * stirling_second(m, n + 1)
-                for n in range(m + 1)
-                for j in range(n + 1)
-            ),
-            RationalFunction(0) if isinstance(q, RationalFunction) else Fraction(0),
-        )
-        / (q - 1)
+def _inverse_sum(m: int, q, weight):
+    """``sum_n sum_j weight(n)/(j+1) (q/(q-1))^(n-j) S2(m,n+1)``."""
+    return sum(
+        (
+            Fraction(weight(n), j + 1)
+            * (q / (q - 1)) ** (n - j)
+            * stirling_second(m, n + 1)
+            for n in range(m + 1)
+            for j in range(n + 1)
+        ),
+        RationalFunction(0) if isinstance(q, RationalFunction) else Fraction(0),
     )
 
 
-def _inverse_daehee_form(m: int, q):
-    return (
-        sum(
-            (
-                Fraction(n + 2, j + 1)
-                * (q / (q - 1)) ** (n - j)
-                * daehee(n + 1)
-                * stirling_second(m, n + 1)
-                for n in range(m + 1)
-                for j in range(n + 1)
-            ),
-            RationalFunction(0) if isinstance(q, RationalFunction) else Fraction(0),
-        )
-        / (1 - q)
-    )
+def _weighted_sum_form_check(weight, divisor):
+    """Sweep of ``B_m(w) = _inverse_sum(m, w, weight) / divisor(w)``,
+    numerically on the parameter grid and symbolically in the weight."""
 
-
-def _inverse_bernoulli_form(m: int, q):
-    return (
-        sum(
-            (
-                Fraction(n + 2, j + 1)
-                * (q / (q - 1)) ** (n - j)
-                * daehee(n + 1, "bernoulli_stirling")
-                * stirling_second(m, n + 1)
-                for n in range(m + 1)
-                for j in range(n + 1)
-            ),
-            Fraction(0),
-        )
-        / (1 - q)
-    )
-
-
-def _check_weighted_sum_factorial_form(bound):
-    sweep = _Sweep()
-    top = _numeric_bound(bound, default=10, cap=12)
-    for q in LAMBDA_SET:
-        for m in range(top + 1):
+    def check(bound):
+        sweep = _Sweep()
+        top = _numeric_bound(bound, default=10, cap=12)
+        for q in LAMBDA_SET:
+            for m in range(top + 1):
+                sweep.eq(
+                    {"m": m, "lambda": q},
+                    _inverse_sum(m, q, weight) / divisor(q),
+                    apostol_bernoulli_value(m, q),
+                )
+        for m in range(_symbolic_bound(bound, 6) + 1):
             sweep.eq(
-                {"m": m, "lambda": q},
-                _inverse_factorial_form(m, q),
-                apostol_bernoulli_value(m, q),
+                {"m": m, "lambda": "symbolic"},
+                _inverse_sum(m, _L, weight) / divisor(_L),
+                apostol_bernoulli(m),
             )
-    for m in range(_symbolic_bound(bound, 6) + 1):
-        sweep.eq({"m": m, "lambda": "symbolic"}, _inverse_factorial_form(m, _L), apostol_bernoulli(m))
-    return sweep.result()
+        return sweep.result()
 
-
-def _check_weighted_sum_daehee_form(bound):
-    sweep = _Sweep()
-    top = _numeric_bound(bound, default=10, cap=12)
-    for q in LAMBDA_SET:
-        for m in range(top + 1):
-            sweep.eq(
-                {"m": m, "lambda": q},
-                _inverse_daehee_form(m, q),
-                apostol_bernoulli_value(m, q),
-            )
-    for m in range(_symbolic_bound(bound, 6) + 1):
-        sweep.eq({"m": m, "lambda": "symbolic"}, _inverse_daehee_form(m, _L), apostol_bernoulli(m))
-    return sweep.result()
+    return check
 
 
 def _check_weighted_sum_bernoulli_form(bound):
@@ -1131,11 +1067,8 @@ def _check_weighted_sum_bernoulli_form(bound):
     top = _numeric_bound(bound, default=10, cap=12)
     for q in LAMBDA_SET:
         for m in range(top + 1):
-            sweep.eq(
-                {"m": m, "lambda": q},
-                _inverse_bernoulli_form(m, q),
-                apostol_bernoulli_value(m, q),
-            )
+            inverse = _inverse_sum(m, q, lambda n: (n + 2) * daehee(n + 1, "bernoulli_stirling"))
+            sweep.eq({"m": m, "lambda": q}, inverse / (1 - q), apostol_bernoulli_value(m, q))
     return sweep.result()
 
 
@@ -1383,8 +1316,8 @@ def _check_eta_series(bound):
             for j in range(n + 1):
                 d = n + 1 - j
                 w = Fraction(1, (j + 1) * 2 ** d)
-                abel += eta_neg(m, n + 2, order=d, method="abel") * w
-                polynomial += eta_neg(m, n + 2, order=d) * w
+                abel += eta_neg(m, n + 2, order=d) * w
+                polynomial += euler_polynomial(m, order=d)(Fraction(n + 2)) * w
             sweep.eq({"n": n, "m": m}, abel, polynomial)
             sweep.eq(
                 {"n": n, "m": m, "route": "coefficient"},
@@ -2068,14 +2001,14 @@ _RECORDS = (
         "apostol",
         "(w-1) B_m(w) = sum_n sum_j (-1)^n (n+1)!/(j+1) (w/(w-1))^(n-j) "
         "S2(m,n+1).",
-        _check_weighted_sum_factorial_form,
+        _weighted_sum_form_check(lambda n: (-1) ** n * factorial(n + 1), lambda q: q - 1),
     ),
     _record(
         "weighted-sum-daehee-form",
         "apostol",
         "(1-w) B_m(w) = sum_n sum_j (n+2)/(j+1) (w/(w-1))^(n-j) D_{n+1} "
         "S2(m,n+1).",
-        _check_weighted_sum_daehee_form,
+        _weighted_sum_form_check(lambda n: (n + 2) * daehee(n + 1), lambda q: 1 - q),
     ),
     _record(
         "weighted-sum-bernoulli-form",

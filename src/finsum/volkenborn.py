@@ -18,7 +18,7 @@ function and a Mahler-style route to the numbers ``S(n, .)`` driven by
 the falling-factorial moments.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -58,8 +58,9 @@ _INTEGRANDS = ("power", "falling", "binom")
 _TERMS = {"power": pow, "falling": perm, "binom": comb}
 
 
-@dataclass(frozen=True)
-class VolkenbornSample:
+class VolkenbornSample(namedtuple(
+        "VolkenbornSample",
+        "p level integrand index partial_sum limit error_valuation")):
     """One exact Riemann-sum certificate.
 
     ``error_valuation`` is the p-adic valuation of
@@ -67,13 +68,7 @@ class VolkenbornSample:
     exact).
     """
 
-    p: int
-    level: int
-    integrand: str
-    index: int
-    partial_sum: Fraction
-    limit: Fraction
-    error_valuation: object
+    __slots__ = ()
 
 
 def _validate(p: int, level: int, integrand: str, index: int):

@@ -5,9 +5,10 @@ This module evaluates, in exact rational arithmetic:
 * multiple Hurwitz zeta values at negative integers,
   ``zeta_d(-m, x) = (-1)^d m! B^{(d)}_{m+d}(x) / (m+d)!``;
 * multiple alternating Hurwitz (Hurwitz-Euler eta) values at negative
-  integers, realised either as higher-order Euler polynomials
-  ``E^{(d)}_m(x)`` or through Abel summation of the defining alternating
-  series, whose weights are Stirling sums;
+  integers, by Abel summation of the defining alternating series, whose
+  weights are Stirling sums; the same numbers are the higher-order Euler
+  polynomial values ``E^{(d)}_m(x)``, which ``special.euler_polynomial``
+  computes independently;
 * Lerch-type interpolation ``sum_v w^v (v+b)^{m-1} -> -B_m(b; w)/m`` for
   ``|w| < 1`` together with exact partial sums for tail inspection;
 * the Laurent expansion in ``t`` of the log-sum numbers ``S(n, .)`` when
@@ -106,14 +107,13 @@ def _abel_weight(order: int, j: int) -> Fraction:
     return total
 
 
-def eta_neg(m: int, x, order: int = 1, method: str = "polynomial") -> Fraction:
+def eta_neg(m: int, x, order: int = 1) -> Fraction:
     """Multiple Hurwitz-Euler eta value at ``s = -m``.
 
-    ``method="polynomial"`` returns the higher-order Euler polynomial
-    ``E^{(order)}_m(x)``.  ``method="abel"`` instead Abel-sums the
-    defining alternating series
-    ``2^d sum_v (-1)^v C(v+d-1, v) (x+v)^m`` term by term, providing an
-    independent route to the same rational number.
+    Abel-sums the defining alternating series
+    ``2^d sum_v (-1)^v C(v+d-1, v) (x+v)^m`` term by term.  The value
+    equals the higher-order Euler polynomial ``E^{(order)}_m(x)``, which
+    :func:`finsum.special.euler_polynomial` builds by another route.
     """
     if m < 0:
         raise ValueError("negative-argument evaluation needs m >= 0")
@@ -122,14 +122,10 @@ def eta_neg(m: int, x, order: int = 1, method: str = "polynomial") -> Fraction:
     x = Fraction(x)
     if order == 0:
         return x ** m
-    if method == "polynomial":
-        return euler_polynomial(m, order=order)(x)
-    if method == "abel":
-        total = Fraction(0)
-        for j in range(m + 1):
-            total += comb(m, j) * x ** (m - j) * _abel_weight(order, j)
-        return Fraction(2) ** order * total
-    raise ValueError(f"unknown method {method!r}")
+    total = Fraction(0)
+    for j in range(m + 1):
+        total += comb(m, j) * x ** (m - j) * _abel_weight(order, j)
+    return Fraction(2) ** order * total
 
 
 def lerch_neg(lam, n: int, b=1) -> Fraction:

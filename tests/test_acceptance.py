@@ -27,6 +27,7 @@ from finsum.special import (
     apostol_bernoulli,
     apostol_bernoulli_value,
     bernoulli,
+    euler_polynomial,
     harmonic,
     stirling_first,
     stirling_second,
@@ -190,8 +191,8 @@ def test_criterion_07_exponential_parameter_sweeps():
                 for j in range(n + 1):
                     d = n + 1 - j
                     w = Fraction(1, (j + 1) * 2 ** d)
-                    abel += eta_neg(m, n + 2, order=d, method="abel") * w
-                    polynomial += eta_neg(m, n + 2, order=d) * w
+                    abel += eta_neg(m, n + 2, order=d) * w
+                    polynomial += euler_polynomial(m, order=d)(Fraction(n + 2)) * w
                 assert abel == polynomial, ("eta-series", n, m, abel, polynomial)
                 multinomial = eta_multinomial_sum(n, m)
                 assert polynomial == multinomial, ("euler-multinomial", n, m, polynomial, multinomial)

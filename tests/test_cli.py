@@ -348,6 +348,22 @@ def test_console_script_examples():
     assert "usage" in result.stderr.lower()
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the record types are namedtuples, so no command pays for dataclasses
+    # and the inspect, ast and dis modules it pulls in; -S keeps modules that
+    # site-packages .pth files import out of the count
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, finsum.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT)),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(not PYPROJECT.is_file(), reason="no pyproject.toml beside tests/")
 def test_console_script_points_at_main_entry():
     tomllib = pytest.importorskip("tomllib")

@@ -1,6 +1,5 @@
 """Catalog integrity and runner-contract tests for finsum.identities."""
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -87,7 +86,7 @@ def test_flagged_statements_carry_exact_counterexamples(identity_id):
 def test_drifted_counterexample_is_caught(monkeypatch, drift):
     record = get_record("harmonic-split")
     (cx,) = record.counterexamples
-    drifted = dataclasses.replace(record, counterexamples=(dataclasses.replace(cx, **drift),))
+    drifted = record._replace(counterexamples=(cx._replace(**drift),))
     monkeypatch.setitem(identities._BY_ID, record.id, drifted)
     assert get_record(record.id).printed_check() is False
     assert run_identity(record.id, max_n=1)["passed"] is False
@@ -100,8 +99,7 @@ def test_record_that_raises_is_isolated(monkeypatch, capsys):
     def broken_check(max_n=None):
         raise ZeroDivisionError("pole at 1")
 
-    monkeypatch.setitem(identities._BY_ID, record.id,
-                        dataclasses.replace(record, check=broken_check))
+    monkeypatch.setitem(identities._BY_ID, record.id, record._replace(check=broken_check))
     entry = run_identity(record.id, max_n=1)
     assert (entry["passed"], entry["swept"]) == (False, 0)
     assert entry["error"] == "ZeroDivisionError: pole at 1"
@@ -155,6 +153,35 @@ def test_volkenborn_power_limit_catches_a_wrong_bernoulli_number():
     assert failed_limits == {"2", "3", "5"}
 
 
+def test_eta_records_catch_a_wrong_euler_polynomial():
+    # E_2^(d) off by one for every order d: eta_neg Abel-sums the defining
+    # series without Euler polynomials, so each record that compares it
+    # with euler_polynomial must fail at m = 2 and nowhere else
+    original = special.euler_polynomial
+
+    def perturbed(m, order=1):
+        value = original(m, order=order)
+        return value + 1 if m == 2 else value
+
+    holders = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "finsum"
+               and getattr(module, "euler_polynomial", None) is original]
+    _clear_finsum_caches()
+    try:
+        for module in holders:
+            module.euler_polynomial = perturbed
+        entries = [run_identity(identity_id)
+                   for identity_id in ("eta-degree-offset", "eta-triple", "eta-quintuple")]
+    finally:
+        for module in holders:
+            module.euler_polynomial = original
+        _clear_finsum_caches()
+    for entry in entries:
+        assert entry["passed"] is False, entry["id"]
+        failed = entry["counterexamples"][len(get_record(entry["id"]).counterexamples):]
+        assert failed and {cx["params"]["m"] for cx in failed} == {"2"}, entry["id"]
+
+
 def test_flagged_record_with_equal_sides_is_rejected():
     record = get_record("harmonic-split")
     (cx,) = record.counterexamples
@@ -166,7 +193,7 @@ def test_flagged_record_with_equal_sides_is_rejected():
             record.check,
             status=PRINTED_FAILS,
             printed_sides=record.printed_sides,
-            counterexamples=(dataclasses.replace(cx, rhs=cx.lhs),),
+            counterexamples=(cx._replace(rhs=cx.lhs),),
         )
 
 

@@ -3,9 +3,10 @@
 A public function that nothing in the package or the demos calls is code
 only the tests reach; it belongs in ``tests/`` as a reference.  The
 special-number families keep one route each, so ``finsum.special`` takes a
-``method`` argument only where the library itself runs two routes, and the
-Volkenborn Riemann sums have one summation order, so no ``finsum.volkenborn``
-function takes one.
+``method`` argument only where the library itself runs two routes.  The
+Volkenborn Riemann sums have one summation order and the negative-argument
+eta values one route, Abel summation, so no ``finsum.volkenborn`` or
+``finsum.zetavals`` function takes one.
 """
 
 import ast
@@ -78,3 +79,8 @@ def test_only_daehee_takes_a_method_in_special():
 def test_no_volkenborn_function_takes_a_method():
     # one summation order per Riemann sum; the second lives in the tests
     assert _taking_a_method("volkenborn") == []
+
+
+def test_no_zetavals_function_takes_a_method():
+    # eta_neg Abel-sums; the Euler-polynomial value is special.euler_polynomial
+    assert _taking_a_method("zetavals") == []

@@ -98,9 +98,7 @@ def test_eta_neg_abel_route_matches_polynomial_route():
     for d in range(4):
         for m in range(9):
             for x in (Fraction(1), Fraction(2), Fraction(7, 2)):
-                assert eta_neg(m, x, order=d, method="abel") == eta_neg(
-                    m, x, order=d, method="polynomial"
-                )
+                assert eta_neg(m, x, order=d) == euler_polynomial(m, order=d)(x)
 
 
 def abel_reference(order, top):
@@ -135,11 +133,6 @@ def test_eta_neg_pair_recurrence():
 def test_eta_neg_recovers_integer_euler_numbers():
     for m in range(11):
         assert eta_neg(m, HALF) * 2 ** m == euler_number(m)
-
-
-def test_eta_neg_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        eta_neg(1, 1, method="cesaro")
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +456,8 @@ def test_section_checks_pass_where_expected():
             for j in range(n + 1):
                 d = n + 1 - j
                 w = Fraction(1, (j + 1) * 2 ** d)
-                abel += eta_neg(m, n + 2, order=d, method="abel") * w
-                polynomial += eta_neg(m, n + 2, order=d) * w
+                abel += eta_neg(m, n + 2, order=d) * w
+                polynomial += euler_polynomial(m, order=d)(Fraction(n + 2)) * w
             assert abel == polynomial
             assert factorial(m) * eta_coefficient_sum(n, m) == eta_multinomial_sum(n, m)
     for n in range(3):
