@@ -2357,7 +2357,9 @@ def run_identity(identity_id: str, max_n=None) -> dict:
 
     A record whose check raises does not stop the run: its entry has
     ``passed`` False, ``swept`` 0 and the exception text under ``error``
-    (None otherwise), and that text is written to stderr.
+    (None otherwise), and that text is written to stderr.  A sweep that
+    compares nothing proves nothing, so a record that sweeps 0 cases does
+    not pass either; that, too, is said on stderr.
     """
     record = get_record(identity_id)
     start = time.perf_counter()
@@ -2369,7 +2371,9 @@ def run_identity(identity_id: str, max_n=None) -> dict:
         error = f"{type(exc).__name__}: {exc}"
         sys.stderr.write(f"finsum: record {record.id} raised {error}\n")
         swept, failures, printed_confirmed = 0, [], False
-    passed = not failures and printed_confirmed
+    if error is None and not swept:
+        sys.stderr.write(f"finsum: record {record.id} swept nothing at max_n={max_n}\n")
+    passed = bool(swept) and not failures and printed_confirmed
     return {
         "id": record.id,
         "family": record.family,
@@ -2393,8 +2397,11 @@ def run_all(max_n=None, ids=None, family=None) -> dict:
     record's stored counterexamples are recomputed from their params and
     compared with the stored text.  ``ok`` is False exactly when some
     record's outcome is unexpected: a ``printed_ok`` sweep failing, or a
-    corrected form / stored counterexample failing to confirm.
+    corrected form / stored counterexample failing to confirm.  A ``max_n``
+    below 1 is a ValueError: several records would sweep nothing.
     """
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     selected = list(records())
     if family is not None:
         if family not in FAMILIES:

@@ -13,14 +13,24 @@ and the lcm-normalised harmonic integers carried by the symbolic numerators.
 Four independent evaluation routes are provided on purpose; their agreement
 is the backbone of the verification suite:
 
-  * logsum_direct             -- the defining sum, term by term
+  * logsum_direct             -- the defining sum
   * logsum_bernoulli_stirling -- double sum over Bernoulli numbers and
                                  signed Stirling numbers of the first kind
   * logsum_recurrence         -- two-term recurrence in n
   * logsum_symbolic           -- closed rational function of the parameter
 
 The numeric routes are duck-typed in the parameter: a Fraction gives exact
-numbers, a RationalFunction gives exact symbolic forms.
+numbers, a RationalFunction gives exact symbolic forms.  At an int or
+Fraction q = a/b in lowest terms, with c = a - b and sigma_n = lcm(1..n+1),
+both the direct and the recurrence route compute one integer,
+
+    S(n, q) = (-1)^n * b^(n+2) * X_n / (sigma_n * a^(n+1) * c^(n+1)),
+    X_n = sum_j (sigma_n/(j+1)) * a^(n-j) * c^j,
+
+in ints, and reduce one Fraction at the end: the direct route sums X_n by
+binary splitting, the recurrence steps it up from X_0 = 1.  The two share
+no helper, so one bug cannot give both the same wrong X_n.  Any other
+parameter keeps the plain loops, one exact operation per term or step.
 """
 
 from __future__ import annotations
@@ -53,33 +63,102 @@ def _check_index(n: int) -> None:
 # the four evaluation routes
 # ---------------------------------------------------------------------------
 
+def _split_sum(a: int, c: int, lo: int, hi: int):
+    """(P, Q, a^(hi-lo), c^(hi-lo)) with P/Q = sum_{lo<=j<hi} a^(hi-1-j) * c^(j-lo)/(j+1).
+
+    Binary splitting: at the midpoint m the range's sum is
+    a^(hi-m) * (left sum) + c^(m-lo) * (right sum), so the halves combine
+    with a few int products.  Q is lcm(lo+1..hi), not the product of the
+    j + 1, which keeps the final reduction small.
+    """
+    if hi - lo == 1:
+        return 1, lo + 1, a, c
+    mid = (lo + hi) // 2
+    p1, q1, a1, c1 = _split_sum(a, c, lo, mid)
+    p2, q2, a2, c2 = _split_sum(a, c, mid, hi)
+    g = math.gcd(q1, q2)
+    return a2 * p1 * (q2 // g) + c1 * p2 * (q1 // g), q1 // g * q2, a1 * a2, c1 * c2
+
+
 def logsum_direct(n: int, q):
-    """Defining alternating sum, one term per j."""
+    """The defining alternating sum over j = 0..n.
+
+    At q = a/b in lowest terms, with c = a - b, the sum is
+    (-1)^n * b^(n+2) * sum_j a^(n-j) * c^j/(j+1) / (a^(n+1) * c^(n+1)); for an
+    int or Fraction q that inner sum runs in ints by binary splitting
+    (:func:`_split_sum`) and one Fraction is reduced at the end.  Any other
+    parameter, such as a RationalFunction, is summed term by term.
+    """
     _check_index(n)
     q = _checked(q)
+    if isinstance(q, Fraction):
+        a, b = q.numerator, q.denominator
+        num, den, a_pow, c_pow = _split_sum(a, a - b, 0, n + 1)
+        num *= b ** (n + 2)
+        return Fraction(num if n % 2 == 0 else -num, den * a_pow * c_pow)
     acc = 0
     for j in range(n + 1):
         acc = acc + 1 / ((j + 1) * q ** (j + 1) * (q - 1) ** (n + 1 - j))
     return acc if n % 2 == 0 else -acc
 
 
+def _recurrence_states(a: int, c: int):
+    """(X_n, sigma_n) for n = 0, 1, ... without end, one int step each.
+
+    sigma_n = lcm(1..n+1) and X_n = sum_j (sigma_n/(j+1)) * a^(n-j) * c^j, so
+    X_n = (sigma_n/sigma_(n-1)) * a * X_(n-1) + (sigma_n/(n+1)) * c^n from
+    X_0 = 1.  The second term is carried as sigma_n * c^n, divided by n + 1.
+    """
+    x, scale, scaled_c_pow = 1, 1, 1
+    n = 0
+    while True:
+        yield x, scale
+        n += 1
+        ratio = (n + 1) // math.gcd(scale, n + 1)
+        scale *= ratio
+        scaled_c_pow *= ratio * c
+        x = ratio * a * x + scaled_c_pow // (n + 1)
+
+
+def _recurrence_fraction(n: int, x: int, scale: int, a: int, b: int) -> Fraction:
+    """S(n, a/b) = (-1)^n * b^(n+2) * X_n / (sigma_n * a^(n+1) * (a-b)^(n+1))."""
+    num = x * b ** (n + 2)
+    return Fraction(num if n % 2 == 0 else -num, scale * (a * (a - b)) ** (n + 1))
+
+
 def logsum_recurrence_values(q):
     """S(0, q), S(1, q), ... without end, one step of the two-term
-    recurrence (q-1)*S(n, q) + S(n-1, q) = (-1)^n/((n+1)*q^(n+1)) each."""
+    recurrence (q-1)*S(n, q) + S(n-1, q) = (-1)^n/((n+1)*q^(n+1)) each.
+
+    For an int or Fraction q = a/b the step runs on the int X_n of
+    :func:`_recurrence_states` and one Fraction is built per value; any
+    other parameter, such as a RationalFunction, steps the values themselves.
+    """
     q = _checked(q)
-    val = 1 / (q * (q - 1))
-    m = 0
-    while True:
-        yield val
-        m += 1
-        sign = 1 if m % 2 == 0 else -1
-        val = (sign / ((m + 1) * q ** (m + 1)) - val) / (q - 1)
+    if isinstance(q, Fraction):
+        a, b = q.numerator, q.denominator
+        for n, (x, scale) in enumerate(_recurrence_states(a, a - b)):
+            yield _recurrence_fraction(n, x, scale, a, b)
+    else:
+        val = 1 / (q * (q - 1))
+        m = 0
+        while True:
+            yield val
+            m += 1
+            sign = 1 if m % 2 == 0 else -1
+            val = (sign / ((m + 1) * q ** (m + 1)) - val) / (q - 1)
 
 
 def logsum_recurrence(n: int, q):
-    """S(n, q) by the two-term recurrence, run up from S(0, q)."""
+    """S(n, q) by the two-term recurrence, run up from S(0, q); for an int or
+    Fraction q only X_n is stepped, and a single Fraction is built at n."""
     _check_index(n)
-    return next(islice(logsum_recurrence_values(q), n, None))
+    q = _checked(q)
+    if not isinstance(q, Fraction):
+        return next(islice(logsum_recurrence_values(q), n, None))
+    a, b = q.numerator, q.denominator
+    x, scale = next(islice(_recurrence_states(a, a - b), n, None))
+    return _recurrence_fraction(n, x, scale, a, b)
 
 
 def logsum_bernoulli_stirling(n: int, q):

@@ -16,6 +16,12 @@ The kernel under test must match it in offset, truncation order, coefficient
 values, text and exception type; its int-form results hold Fractions where
 the reference may hold an equal int, so types are not compared.
 
+``logsum_direct_reference``, ``logsum_recurrence_values_reference`` and
+``logsum_recurrence_reference`` are the numeric log-sum routes as Fraction
+loops, one reduced Fraction per term or step at every parameter; the int
+routes of ``finsum.logsum`` must match them value for value, type for type,
+and exception for exception.
+
 ``euler_number`` is the integer Euler number from the Euler polynomial, a
 reference value shared by the special-function and zeta-value tests.
 
@@ -32,7 +38,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from finsum.exact import (
     INFINITY,
@@ -593,6 +599,51 @@ class LaurentSeriesReference:
 
     def __repr__(self):
         return f"LaurentSeriesReference({self.to_text()})"
+
+
+# ---------------------------------------------------------------------------
+# the numeric log-sum routes, one Fraction operation at a time
+# ---------------------------------------------------------------------------
+
+def _index_reference(n: int) -> None:
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+
+
+def _parameter_reference(q):
+    if isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+        if q == 0 or q == 1:
+            raise ValueError("parameter must avoid 0 and 1")
+    return q
+
+
+def logsum_direct_reference(n: int, q):
+    """S(n, q) by the defining sum, one Fraction addition per j."""
+    _index_reference(n)
+    q = _parameter_reference(q)
+    acc = 0
+    for j in range(n + 1):
+        acc = acc + 1 / ((j + 1) * q ** (j + 1) * (q - 1) ** (n + 1 - j))
+    return acc if n % 2 == 0 else -acc
+
+
+def logsum_recurrence_values_reference(q):
+    """S(0, q), S(1, q), ... by (q-1)*S(n) + S(n-1) = (-1)^n/((n+1)*q^(n+1)),
+    one Fraction step per value."""
+    q = _parameter_reference(q)
+    val = 1 / (q * (q - 1))
+    m = 0
+    while True:
+        yield val
+        m += 1
+        sign = 1 if m % 2 == 0 else -1
+        val = (sign / ((m + 1) * q ** (m + 1)) - val) / (q - 1)
+
+
+def logsum_recurrence_reference(n: int, q):
+    _index_reference(n)
+    return next(islice(logsum_recurrence_values_reference(q), n, None))
 
 
 @functools.lru_cache(maxsize=None)

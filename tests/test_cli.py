@@ -177,6 +177,8 @@ def test_fixed_series_reject_parameter(capsys):
         ["verify", "--id", "no-such-record"],
         ["volkenborn", "--p", "7", "--max-level", "9", "--index", "0"],
         ["volkenborn", "--p", "4", "--max-level", "2", "--index", "0"],
+        ["verify", "--max-n", "0"],
+        ["verify", "--id", "step-recurrence", "--max-n", "-1"],
     ],
 )
 def test_usage_errors_exit_two_with_usage_text(capsys, argv):

@@ -182,6 +182,49 @@ def test_eta_records_catch_a_wrong_euler_polynomial():
         assert failed and {cx["params"]["m"] for cx in failed} == {"2"}, entry["id"]
 
 
+@pytest.mark.parametrize("name", ["logsum_recurrence", "logsum_direct"])
+def test_defining_sum_routes_catch_a_wrong_numeric_route(name):
+    # one numeric route off by one at n = 2 in every finsum namespace: the
+    # two int routes share no helper, so the other one must disagree there
+    logsum_module = sys.modules["finsum.logsum"]
+    original = getattr(logsum_module, name)
+
+    def perturbed(n, q):
+        value = original(n, q)
+        return value + 1 if n == 2 else value
+
+    holders = [module for mod_name, module in sys.modules.items()
+               if mod_name.split(".")[0] == "finsum" and getattr(module, name, None) is original]
+    logsum_module.logsum_value.cache_clear()
+    try:
+        for module in holders:
+            setattr(module, name, perturbed)
+        entry = run_identity("defining-sum-routes", max_n=4)
+    finally:
+        for module in holders:
+            setattr(module, name, original)
+        logsum_module.logsum_value.cache_clear()
+    assert entry["passed"] is False
+    assert entry["counterexamples"] and {cx["params"]["n"] for cx in entry["counterexamples"]} == {"2"}
+
+
+def test_a_sweep_that_checks_nothing_does_not_pass(monkeypatch, capsys):
+    entry = run_identity("step-recurrence", max_n=0)
+    assert (entry["passed"], entry["swept"], entry["error"]) == (False, 0, None)
+    assert "step-recurrence swept nothing" in capsys.readouterr().err
+
+    record = get_record("table-rows")
+    monkeypatch.setitem(identities._BY_ID, record.id, record._replace(check=lambda max_n: (0, ())))
+    entry = run_identity(record.id, max_n=5)
+    assert (entry["passed"], entry["swept"], entry["error"]) == (False, 0, None)
+    report = run_all(ids=[record.id], max_n=5)
+    assert report["ok"] is False and report["unexpected"] == [record.id]
+
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            run_all(max_n=bad)
+
+
 def test_flagged_record_with_equal_sides_is_rejected():
     record = get_record("harmonic-split")
     (cx,) = record.counterexamples

@@ -4,6 +4,7 @@ import importlib
 import math
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from finsum.logsum import (
     logsum_bernoulli_stirling,
     logsum_direct,
     logsum_recurrence,
+    logsum_recurrence_values,
     logsum_symbolic,
     logsum_value,
     table,
@@ -28,6 +30,9 @@ from kernel_reference import (
     RationalFunctionReference,
     assert_same_ratfun,
     gcd_reference,
+    logsum_direct_reference,
+    logsum_recurrence_reference,
+    logsum_recurrence_values_reference,
     polynomial_text_reference,
 )
 
@@ -283,3 +288,60 @@ def test_closed_form_time_budgets():
     assert elapsed < 5.0, f"table(150) exceeded its 5s budget: {elapsed:.2f}s"
     elapsed = _fresh_seconds(logsum_module._symbolic_parts, 2000)
     assert elapsed < 1.0, f"_symbolic_parts(2000) exceeded its 1s budget: {elapsed:.2f}s"
+
+
+def _outcome(call, *args):
+    """(type, value) of a call's result, or the type of what it raised."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return "raised", type(exc)
+    return type(value), value
+
+
+_WIDE = 10**40
+_PARAMETERS = st.one_of(
+    st.sampled_from([Fraction(1, 2), Fraction(-1), -1, 2, Fraction(-7, 4), 0, 1, Fraction(1)]),
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-_WIDE, max_value=_WIDE),
+        st.integers(min_value=1, max_value=_WIDE),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=-2, max_value=200), _PARAMETERS)
+def test_int_routes_match_the_fraction_loops(n, q):
+    want = _outcome(logsum_direct_reference, n, q)
+    assert _outcome(logsum_direct, n, q) == want
+    assert _outcome(logsum_recurrence, n, q) == want
+    assert _outcome(logsum_recurrence_reference, n, q) == want
+    assert _outcome(logsum_value, n, q) == want
+    count = max(n + 1, 1)
+    got = _outcome(lambda: list(islice(logsum_recurrence_values(q), count)))
+    assert got == _outcome(lambda: list(islice(logsum_recurrence_values_reference(q), count)))
+    if got[0] is list:
+        assert {type(v) for v in got[1]} == {Fraction}
+
+
+def test_values_generator_raises_on_first_step():
+    values = logsum_recurrence_values(Fraction(1))
+    with pytest.raises(ValueError):
+        next(values)
+
+
+def test_numeric_route_time_budgets():
+    # about 0.01 s and 0.2 s on a 2-core x86-64 host with Python 3.11;
+    # the Fraction loops took about 7 s and 26 s there
+    q = Fraction(-7, 4)
+    start = time.perf_counter()
+    logsum_direct(5000, q)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"logsum_direct(5000, -7/4) exceeded its 1s budget: {elapsed:.2f}s"
+    start = time.perf_counter()
+    logsum_recurrence(20000, Fraction(2))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 4.0, f"logsum_recurrence(20000, 2) exceeded its 4s budget: {elapsed:.2f}s"
