@@ -13,11 +13,12 @@ and a coprime positive scale sn/sd, the value being (sn*a)/(sd*b).  Its
 arithmetic runs on the int lists, and no Fraction is built or reduced per
 coefficient: by Gauss's lemma a product of primitive polynomials is already
 primitive.  Every result goes through one reduction (_reduce).  The rational
-functions of this package have poles only at 0, 1 and -1 (the closed forms of
-S(n) at 0 and 1, the weighted-Bernoulli and Euler identities add -1), so
-_reduce cancels the factors L, L-1 and L+1 by synthetic division and any
-other common factor by an integer gcd, taken only when the denominator keeps
-another factor.  The Fraction-coefficient num and den are built on request.
+functions of this package have poles only at 0 and 1 (the closed forms of
+S(n)), so _reduce counts the factors L by the low-order zeros of the
+denominator, divides the factors L - 1 out by synthetic division, and cancels
+any other common factor by the one integer gcd, taken only when the
+denominator keeps another factor.  The Fraction-coefficient num and den are
+built on request.
 At an int or Fraction point p/q, a RationalFunction and a Polynomial with int
 or Fraction coefficients are evaluated by Horner's rule in ints, and one
 Fraction is built at the end.
@@ -35,7 +36,8 @@ series built from Fractions that are not all integers (by the constructor,
 or by mercator, whose coefficients over the one denominator lcm(1..T) * q^T
 would all be as large as the last) keeps them as given, reduced one by one,
 and so do a sum of two such series and a quotient with such a dividend: each
-of their coefficients prints without a gcd.  A Fraction is built only when
+of their coefficients prints without a gcd.  Both forms are normalised by
+one routine (_normal).  A Fraction is built only when
 coefficient(), coeffs, to_text or hash asks for one.  Coefficients from
 another ring (the RationalFunction coefficients of the weighted Bernoulli
 family) and floats take the term-by-term loops.
@@ -57,7 +59,6 @@ few.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from itertools import accumulate
@@ -358,13 +359,11 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
-def _deflate(a, r):
-    """Quotient of the int coefficient list a by L - r, r in (0, 1, -1), or None
-    when a(r) != 0.  Synthetic division from the top: q[i-1] = a[i] + r * q[i],
-    and the last step gives a(r)."""
-    if r == 0:
-        return a[1:] if a[0] == 0 else None
-    q = list(accumulate(reversed(a), operator.add if r == 1 else (lambda acc, c: c - acc)))
+def _deflate(a):
+    """Quotient of the int coefficient list a by L - 1, or None when a(1) != 0.
+    Synthetic division from the top: q[i-1] = a[i] + q[i], and the last step
+    gives a(1)."""
+    q = list(accumulate(reversed(a)))
     return q[-2::-1] if q[-1] == 0 else None
 
 
@@ -619,10 +618,11 @@ def _reduce(a, b, sn, sd):
     fresh int coefficient list a (trimmed in place), an int coefficient
     sequence b != 0 and positive ints sn and sd.
 
-    The contents go into the scale.  The denominators of this package have
-    roots only at 0, 1 and -1, so the factors L, L - 1 and L + 1 are cancelled
-    by synthetic division; any other common factor is cancelled by the
-    integer gcd (_int_gcd), taken only when b keeps another factor.
+    The contents go into the scale.  The factors L are counted once, by the
+    low-order zeros of b, and the shared ones cancelled with one slice each;
+    the factors L - 1 are divided out one synthetic division at a time.  Any
+    other common factor is cancelled by the integer gcd (_int_gcd), taken
+    only when b keeps another factor.
     """
     while a and not a[-1]:
         a.pop()
@@ -637,15 +637,16 @@ def _reduce(a, b, sn, sd):
         b = [c // gb for c in b]
     sn, sd = sn * abs(ga), sd * abs(gb)
     if len(b) > 1:
-        # rest is b with every factor L - r taken out; a and b lose each one they share
-        rest = b
-        for r in (0, 1, -1):
-            k = 0
-            while (q := _deflate(rest, r)) is not None:
-                rest, k = q, k + 1
-            while k and (q := _deflate(a, r)) is not None:
-                a, b, k = q, _deflate(b, r), k - 1
-        if len(rest) > 1:  # a common factor left has no root at 0, 1 or -1
+        # rest is b without its factors L and L - 1; a and b lose each one they share
+        i = next(m for m, c in enumerate(b) if c)
+        k = min(i, next(m for m, c in enumerate(a) if c))
+        a, b, rest = a[k:], b[k:], b[i:]
+        j = 0
+        while (q := _deflate(rest)) is not None:
+            rest, j = q, j + 1
+        while j and (q := _deflate(a)) is not None:
+            a, b, j = q, _deflate(b), j - 1
+        if len(rest) > 1:  # a common factor left has no root at 0 or 1
             g = _int_gcd(a, rest)
             if len(g) > 1:
                 if g[-1] < 0:  # keeps b[-1] > 0
@@ -694,22 +695,7 @@ class LaurentSeries:
     __slots__ = ("offset", "trunc", "_n", "_d")
 
     def __init__(self, offset: int, coeffs, trunc=None):
-        cs = list(coeffs)
-        # normalize: drop leading zeros (bumping offset), drop tail beyond trunc
-        while cs and not cs[0]:
-            cs.pop(0)
-            offset += 1
-        if trunc is not None:
-            cs = cs[: max(0, trunc - offset + 1)]
-        while cs and not cs[-1]:
-            cs.pop()
-        if not cs:
-            offset = 0
-        d = None
-        if all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-               for c in cs):
-            cs, d = [c.numerator for c in cs], 1
-        self._set(offset, trunc, tuple(cs), d)
+        self._set(*_normal(offset, list(coeffs), None, trunc))
 
     def _set(self, offset, trunc, n, d):
         object.__setattr__(self, "offset", offset)
@@ -741,7 +727,7 @@ class LaurentSeries:
     @classmethod
     def geometric(cls, T: int):
         """1 + z + z^2 + ... through order T."""
-        return _int_series(0, [1] * (T + 1), 1, T)
+        return _series(0, [1] * (T + 1), 1, T)
 
     @classmethod
     def exponential(cls, T: int, scale=Fraction(1)):
@@ -756,7 +742,7 @@ class LaurentSeries:
             for r in rest:
                 n.append(pk * r)
                 pk *= p
-            return _int_series(0, n, rest[0] if rest else 1, T)
+            return _series(0, n, rest[0] if rest else 1, T)
         cs = []
         c = Fraction(1)
         for k in range(T + 1):
@@ -851,9 +837,7 @@ class LaurentSeries:
     def _cut(self, trunc):
         """self, exact through trunc (None: exactly), without the stored terms beyond it."""
         if trunc is not None and self.offset + len(self._n) - 1 > trunc:
-            if self._d is None:
-                return LaurentSeries(self.offset, self._n, trunc)
-            return _int_series(self.offset, list(self._n), self._d, trunc)
+            return _series(self.offset, self._n, self._d, trunc)
         return object.__new__(LaurentSeries)._set(self.offset, trunc, self._n, self._d)
 
     # -- arithmetic --------------------------------------------------------
@@ -887,7 +871,7 @@ class LaurentSeries:
                 out = [0] * max(0, hi - lo + 1)
                 _spread(out, a[0], self.offset - lo, d // a[1])
                 _spread(out, b[0], o.offset - lo, d // b[1])
-                return _int_series(lo, out, d, _order(T))
+                return _series(lo, out, d, _order(T))
         sc, oc = self.coeffs, o.coeffs
         out = []
         for k in range(lo, hi + 1):
@@ -899,8 +883,6 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        if self._d is None:
-            return LaurentSeries(self.offset, tuple(-c for c in self._n), self.trunc)
         return object.__new__(LaurentSeries)._set(
             self.offset, self.trunc, tuple(-c for c in self._n), self._d)
 
@@ -934,7 +916,7 @@ class LaurentSeries:
         a = self._ints(size)
         b = None if a is None else o._ints(size)
         if b is not None:
-            return _int_series(lo, _int_convolve(a[0], b[0], size), a[1] * b[1], _order(T))
+            return _series(lo, _int_convolve(a[0], b[0], size), a[1] * b[1], _order(T))
         sc, oc = self.coeffs, o.coeffs
         out = [Fraction(0)] * size
         for i, ca in enumerate(sc):
@@ -1001,7 +983,7 @@ class LaurentSeries:
         b = None if self._d is None else den._ints(n)
         if b is not None:
             q, d = _int_quotient(self._n, self._d, b[0], b[1], n)
-            return _int_series(lo, q, d, _order(T))
+            return _series(lo, q, d, _order(T))
         a, bs = self.coeffs, den.coeffs
         b0_inv = _ring_inverse(bs[0])
         b = [(i, c) for i, c in enumerate(bs[1:n], 1) if c]
@@ -1059,9 +1041,7 @@ class LaurentSeries:
     def derivative(self) -> "LaurentSeries":
         T = None if self.trunc is None else self.trunc - 1
         cs = [(self.offset + i) * c for i, c in enumerate(self._n)]
-        if self._d is None:
-            return LaurentSeries(self.offset - 1, cs, T)
-        return _int_series(self.offset - 1, cs, self._d, T)
+        return _series(self.offset - 1, cs, self._d, T)
 
     def to_text(self, letter: str = "z") -> str:
         if not self._n:
@@ -1086,10 +1066,17 @@ class LaurentSeries:
         return f"LaurentSeries({self.to_text()})"
 
 
-def _int_series(offset, n, d, trunc):
-    """The int-form series sum (n[i] / d) z^(offset+i) exact through trunc,
-    for a list of ints n and an int d != 0: zeros trimmed, the terms beyond
-    trunc dropped and the content divided out."""
+def _normal(offset, n, d, trunc):
+    """The stored form (offset, trunc, _n, _d) of the series
+    sum (n[i] / d) z^(offset+i) exact through trunc, for a sequence n.
+
+    An int d != 0 means int numerators n; a d of None means coefficients as
+    given.  Zeros are trimmed at both ends and the terms beyond trunc
+    dropped.  Coefficients given as ints and integral Fractions take the int
+    form over d = 1, and an int form is divided by the content gcd(d, *n),
+    with the sign that makes d positive; other as-given coefficients stay as
+    they are.
+    """
     start, stop = 0, len(n)
     while start < stop and not n[start]:
         start += 1
@@ -1098,15 +1085,26 @@ def _int_series(offset, n, d, trunc):
     while stop > start and not n[stop - 1]:
         stop -= 1
     if start == stop:
-        return object.__new__(LaurentSeries)._set(0, trunc, (), 1)
+        return 0, trunc, (), 1
     n = n[start:stop]
+    if d is None:
+        if not all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
+                   for c in n):
+            return offset + start, trunc, tuple(n), None
+        n, d = [c.numerator for c in n], 1
     g = math.gcd(d, *n)
     if d < 0:
         g = -g
     if g != 1:
         n = [c // g for c in n]
         d //= g
-    return object.__new__(LaurentSeries)._set(offset + start, trunc, tuple(n), d)
+    return offset + start, trunc, tuple(n), d
+
+
+def _series(offset, n, d, trunc):
+    """The series sum (n[i] / d) z^(offset+i) exact through trunc, in its
+    stored form (_normal)."""
+    return object.__new__(LaurentSeries)._set(*_normal(offset, n, d, trunc))
 
 
 def _spread(out, n, start, scale):

@@ -1433,11 +1433,9 @@ def _check_hurwitz_negative_values(bound):
     top = _numeric_bound(bound, default=10, cap=12)
     for m in range(top + 1):
         for x in (Fraction(1), Fraction(2), _HALF, Fraction(3)):
-            sweep.eq(
-                {"m": m, "x": x, "route": "order-1"},
-                hurwitz_neg(m, x),
-                -bernoulli_polynomial(m + 1)(x) / (m + 1),
-            )
+            # B_(m+1)(x) from the Bernoulli numbers, not from bernoulli_polynomial
+            b = sum(comb(m + 1, k) * bernoulli(k) * x ** (m + 1 - k) for k in range(m + 2))
+            sweep.eq({"m": m, "x": x, "route": "order-1"}, hurwitz_neg(m, x), -b / (m + 1))
     for d in range(5):
         for m in range(7):
             for x in (Fraction(1), Fraction(3, 2)):

@@ -201,9 +201,13 @@ def with_poles(coeffs, powers, scalar=F(1), as_ints=False):
 
 
 def test_ratfun_integer_gcd_cancels_other_factors():
-    # s has no root at 0, 1 or -1, so only the general gcd can cancel it
+    # s has no root at 0 or 1, so only the general gcd can cancel it
     s = poly(1, 0, 1) * poly(5, 3)          # (L^2 + 1)(3L + 5)
     assert RationalFunction(poly(2, 1) * s, poly(-5, 3) * s) == RationalFunction(poly(2, 1), poly(-5, 3))
+    # nor the square of L + 1, of which the denominator keeps one factor
+    t = poly(1, 1) ** 2
+    f = RationalFunction(poly(2, 1) * t, poly(-5, 3) * t * poly(1, 1))
+    assert f.to_text() == "(2 + L)/(-5 - 2*L + 3*L^2)"
 
 
 factors = st.lists(st.integers(min_value=-5, max_value=5), max_size=3).filter(any)
@@ -214,6 +218,10 @@ factors = st.lists(st.integers(min_value=-5, max_value=5), max_size=3).filter(an
        st.tuples(factors, factors), st.booleans())
 @example([5, 3], (1, 0, 0), F(1), [10, 6], (0, 1, 0), F(1), ([1, 0, 1], [1, 0, 1]), False)
 @example([0, 1], (0, 0, 1), F(2, 3), [-1, 2], (0, 0, 0), F(-1), ([-3, 0, -2], [1]), True)
+@example([2, 1], (0, 1, 2), F(1), [3, -1], (0, 0, 3), F(5, 2), ([1], [1]), True)
+@example([1], (1, 0, 0), F(-1), [2, 0, 1], (2, 1, 0), F(1), ([1, 1], [1, 1]), False)
+@example([0, 3], (3, 1, 0), F(1), [1, 4], (1, 2, 0), F(3), ([1], [1]), True)
+@example([5, 2], (1, 0, 0), F(1, 2), [0, 1], (4, 0, 1), F(1), ([0, 2], [1]), False)
 def test_ratfun_constructor_matches_gcd_reference(a, pa, sa, b, pb, sb, common, as_ints):
     """The shared factor is a product of two factors of degree <= 2, so it
     may hold a repeated irreducible factor and a negative, non-unit leading

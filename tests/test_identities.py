@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from finsum import identities, special
+from finsum import identities, special, zetavals
 from finsum.cli import main
 from finsum.identities import (
     FAMILIES,
@@ -91,6 +91,25 @@ def test_drifted_counterexample_is_caught(monkeypatch, drift):
     assert get_record(record.id).printed_check() is False
     assert run_identity(record.id, max_n=1)["passed"] is False
     assert run_all(ids=[record.id], max_n=1)["ok"] is False
+
+
+def test_hurwitz_order_one_route_is_independent_of_bernoulli_polynomial(monkeypatch):
+    """With B^(d)_3 raised by 1 for every d >= 1, the order-1 route, built
+    from the Bernoulli numbers, fails at m = 2 along with the difference route."""
+    exact = special.bernoulli_polynomial
+
+    def raised(m, order=1):
+        p = exact(m, order=order)
+        return p + 1 if m == 3 and order >= 1 else p
+
+    for module in (special, zetavals, identities):
+        monkeypatch.setattr(module, "bernoulli_polynomial", raised)
+    entry = run_identity("hurwitz-negative-values")
+    routes = {cx["params"]["route"] for cx in entry["counterexamples"]}
+    assert entry["passed"] is False
+    assert {"order-1", "difference"} <= routes
+    assert all(cx["params"]["m"] == "2" for cx in entry["counterexamples"]
+               if cx["params"]["route"] == "order-1")
 
 
 def test_record_that_raises_is_isolated(monkeypatch, capsys):

@@ -155,6 +155,9 @@ def test_equal_series_built_by_different_routes_are_equal():
         (LaurentSeries(0, (F(2, 3), F(4, 3))) * 3 / 2, LaurentSeries(0, (1, 2))),
         (LaurentSeries(2, (F(4, 6),), 3),
          LaurentSeries.monomial(F(2, 3), 2) + LaurentSeries.zero(3)),
+        (LaurentSeries(0, (0, 0, F(1, 2)), 5).derivative(), LaurentSeries(0, (0, 1), 4)),
+        (-LaurentSeries(-1, (F(1, 2), 0, 3), 4), LaurentSeries(-1, (F(-1, 2), 0, -3), 4)),
+        (LaurentSeries(0, (F(4, 2), F(1, 2), 1)) + LaurentSeries.zero(0), LaurentSeries(0, (2,), 0)),
     ]
     for a, b in routes:
         assert_canonical(a)
